@@ -135,7 +135,7 @@ inline std::shared_ptr<const Rmts> rmts_ll() {
 
 inline std::shared_ptr<const Rmts> rmts_hc() {
   return std::make_shared<Rmts>(std::make_shared<HarmonicChainBound>(),
-                                MaxSplitMethod::kSchedulingPoints, "RM-TS[HC]");
+                                "RM-TS[HC]");
 }
 
 inline std::shared_ptr<const PartitionedRm> prm_ffd_rta() {

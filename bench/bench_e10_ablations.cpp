@@ -34,13 +34,10 @@ int main() {
       std::make_shared<RmtsLight>(),  // RTA admission (paper)
       std::make_shared<Spa1>(),       // threshold admission ([16])
       // (b) selection ablation
-      std::make_shared<RmtsLight>(MaxSplitMethod::kSchedulingPoints,
-                                  SelectionPolicy::kFirstFit),
+      std::make_shared<RmtsLight>(SelectionPolicy::kFirstFit),
       // (c) granularity ablation
-      std::make_shared<RmtsLight>(MaxSplitMethod::kSchedulingPoints,
-                                  SelectionPolicy::kWorstFit, 100),
-      std::make_shared<RmtsLight>(MaxSplitMethod::kSchedulingPoints,
-                                  SelectionPolicy::kWorstFit, 1000),
+      std::make_shared<RmtsLight>(SelectionPolicy::kWorstFit, 100),
+      std::make_shared<RmtsLight>(SelectionPolicy::kWorstFit, 1000),
   };
   const AcceptanceResult result = run_acceptance(config, roster);
   const Table table = result.to_table();

@@ -2,8 +2,8 @@
 //
 // Quantifies what the paper asserts qualitatively: exact RTA and MaxSplit
 // are pseudo-polynomial "but in practice very efficient" (Section IV-A),
-// and the scheduling-point MaxSplit of [22] beats the binary search.
-// Also scales full partitioning runs with N and M -- the cost a design
+// and prices the shipped binary-search MaxSplit against the
+// scheduling-point method of [22] (the test-only oracle).  Also scales full partitioning runs with N and M -- the cost a design
 // loop pays per candidate configuration -- and exercises the two
 // performance layers behind every experiment binary: the ProcessorState
 // admission cache (BM_AdmissionScan, BM_Partition, BM_MaxSplit) and the
@@ -22,6 +22,7 @@
 
 #include "bench_common.hpp"
 #include "common/rng.hpp"
+#include "oracle/max_split_points.hpp"
 #include "partition/max_split.hpp"
 #include "rta/rta.hpp"
 #include "sim/simulator.hpp"
@@ -31,12 +32,15 @@ namespace {
 
 using namespace rmts;
 
-/// Deterministic hosted processor with `count` moderately loaded subtasks.
-ProcessorState hosted_processor(std::size_t count) {
+/// Deterministic hosted processor with `count` moderately loaded subtasks,
+/// periods uniform in [10^3, 10^6] or, with `log_uniform`, log-uniform
+/// there (the workload generators' default, and the admit-large shape).
+ProcessorState hosted_processor(std::size_t count, bool log_uniform = false) {
   Rng rng(1234);
   ProcessorState processor;
   for (std::size_t i = 0; i < count; ++i) {
-    const Time period = rng.uniform_int(1000, 1000000);
+    const Time period = log_uniform ? rng.log_uniform_time(1000, 1000000)
+                                    : rng.uniform_int(1000, 1000000);
     const Subtask s{i * 2 + 1,
                     static_cast<TaskId>(i),
                     0,
@@ -70,17 +74,31 @@ void BM_Rta_ResponseTime(benchmark::State& state) {
 }
 BENCHMARK(BM_Rta_ResponseTime)->Arg(2)->Arg(8)->Arg(32);
 
-void BM_MaxSplit(benchmark::State& state) {
+/// MaxSplit as partitioning calls it.  points:0 is the shipped binary
+/// search over fits() against the processor's warm response cache.
+/// points:1 is the scheduling-point method of [22], which builds every
+/// hosted subtask's testing set on each call: partitioning seals a
+/// processor after its one split, so a per-processor testing-set cache
+/// would never be hit twice.  The binary search costs ~log2(C) probes
+/// whatever the periods; the testing sets grow with D/T, so short
+/// periods (the log-uniform family) are where the oracle pays.
+void max_split(benchmark::State& state, bool log_uniform) {
   const auto count = static_cast<std::size_t>(state.range(0));
-  const auto method = state.range(1) == 0 ? MaxSplitMethod::kBinarySearch
-                                          : MaxSplitMethod::kSchedulingPoints;
-  const ProcessorState processor = hosted_processor(count);
+  const bool points = state.range(1) != 0;
+  const ProcessorState processor = hosted_processor(count, log_uniform);
   const Subtask candidate{0, 999, 0, 400000, 800000, 800000, SubtaskKind::kWhole};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(max_admissible_wcet(processor, candidate, method));
+    benchmark::DoNotOptimize(
+        points ? oracle::max_admissible_wcet(processor.subtasks(), candidate)
+               : max_admissible_wcet(processor, candidate));
   }
 }
+void BM_MaxSplit(benchmark::State& state) { max_split(state, false); }
+void BM_MaxSplitLogUniform(benchmark::State& state) { max_split(state, true); }
 BENCHMARK(BM_MaxSplit)
+    ->ArgsProduct({{2, 8, 32}, {0, 1}})
+    ->ArgNames({"hosted", "points"});
+BENCHMARK(BM_MaxSplitLogUniform)
     ->ArgsProduct({{2, 8, 32}, {0, 1}})
     ->ArgNames({"hosted", "points"});
 

@@ -41,6 +41,8 @@ std::string_view counter_name(Counter counter) noexcept {
     case Counter::kPartitionRuns: return "partition_runs";
     case Counter::kSimRuns: return "sim_runs";
     case Counter::kSimEvents: return "sim_events";
+    case Counter::kMaxSplitCalls: return "max_split_calls";
+    case Counter::kMaxSplitProbes: return "max_split_probes";
   }
   return "unknown";
 }

@@ -80,8 +80,10 @@ enum class Counter : std::uint8_t {
   kPartitionRuns,
   kSimRuns,
   kSimEvents,  ///< event-loop iterations across all simulation runs
+  kMaxSplitCalls,   ///< max_admissible_wcet invocations (split attempts)
+  kMaxSplitProbes,  ///< fits() probes issued by MaxSplit's binary search
 };
-inline constexpr std::size_t kCounterCount = 9;
+inline constexpr std::size_t kCounterCount = 11;
 
 [[nodiscard]] std::string_view stage_name(Stage stage) noexcept;
 [[nodiscard]] std::string_view counter_name(Counter counter) noexcept;

@@ -155,8 +155,7 @@ AdmitResult PartitionSession::admit(Time wcet, Time period) {
     if (!hosted.empty() && hosted.front().priority < candidate.priority) {
       continue;
     }
-    Time prefix =
-        max_admissible_wcet(processors_[q], candidate, config_.split_method);
+    Time prefix = max_admissible_wcet(processors_[q], candidate);
     assert(prefix < candidate.wcet);  // full fit was rejected above
     prefix -= prefix % config_.split_granularity;
     if (prefix <= 0) continue;

@@ -66,7 +66,6 @@
 #include <string>
 #include <vector>
 
-#include "partition/max_split.hpp"
 #include "partition/processor_state.hpp"
 #include "tasks/subtask.hpp"
 
@@ -77,8 +76,6 @@ using Ticket = std::uint64_t;
 
 struct SessionConfig {
   std::size_t processors{4};
-  /// Exact MaxSplit implementation used for split placement.
-  MaxSplitMethod split_method{MaxSplitMethod::kSchedulingPoints};
   /// Try split placement when no processor admits the task whole.
   bool allow_splitting{true};
   /// Body prefixes are rounded down to a multiple of this (>= 1 tick).

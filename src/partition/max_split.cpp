@@ -1,112 +1,37 @@
 #include "partition/max_split.hpp"
 
 #include <algorithm>
-#include <vector>
 
-#include "rta/rta.hpp"
+#include "common/trace.hpp"
 
 namespace rmts {
 
-namespace {
-
-Time max_wcet_binary(const ProcessorState& processor, const Subtask& prototype) {
+Time max_admissible_wcet(const ProcessorState& processor,
+                         const Subtask& prototype) {
   // fits() is monotone in the candidate's wcet, so binary search for the
   // largest feasible value.  c = 0 ("assign nothing") is feasible by the
-  // caller's invariant that the processor is schedulable as-is.  Each
-  // probe reuses the processor's memoized responses (see ProcessorState),
-  // so the O(log C) admission checks no longer redo full RTA from zero.
-  Time lo = 0;               // highest known-feasible value
-  Time hi = prototype.wcet;  // upper bound; may itself be feasible
+  // caller's invariant that the processor is schedulable as-is; nothing
+  // above the synthetic deadline can fit (the response is at least the
+  // wcet), which also makes a non-positive deadline or wcet return 0
+  // without a probe.
+  Time lo = 0;  // highest known-feasible value
+  Time hi = std::min(prototype.wcet, prototype.deadline);  // may be feasible
+  std::uint64_t probes = 0;
   Subtask candidate = prototype;
   while (lo < hi) {
     const Time mid = lo + (hi - lo + 1) / 2;  // round up so lo advances
     candidate.wcet = mid;
+    ++probes;
     if (processor.fits(candidate)) {
       lo = mid;
     } else {
       hi = mid - 1;
     }
   }
+  // One flush per call, like fits() flushes its own counters.
+  trace::count2(trace::Counter::kMaxSplitCalls, 1,
+                trace::Counter::kMaxSplitProbes, probes);
   return lo;
-}
-
-/// Largest own execution budget of the candidate: max over its testing set
-/// of (t - higher-priority interference).  Candidate-deadline dependent,
-/// so not served from the hosted cache; the scratch point buffer persists
-/// across MaxSplit's per-processor search calls instead (one thread's
-/// partitioning run reuses its capacity allocation-free).
-Time max_self_budget(std::span<const Subtask> higher, Time deadline) {
-  thread_local std::vector<Time> points;
-  scheduling_points(deadline, higher, points);
-  Time best = 0;
-  for (const Time t : points) {
-    const auto demand = interference_at(t, higher);
-    if (!demand || *demand >= t) continue;  // overflowed demand never fits
-    best = std::max(best, t - *demand);
-  }
-  return best;
-}
-
-/// Largest candidate wcet that keeps the hosted subtask at `index` (wcet,
-/// deadline, interfered by the hosted prefix) schedulable when the
-/// candidate interferes with period `candidate_period`:
-///   max over testing points t of floor((t - W(t)) / ceil(t / T_c)),
-/// where W(t) is the demand without the candidate.  The hosted part of the
-/// testing set and its W(t) come memoized from the processor; only the
-/// candidate's own arrival multiples (where the optimum of the piecewise
-/// expression can also sit) are evaluated fresh.
-Time max_extra_interference(const ProcessorState& processor, std::size_t index,
-                            Time candidate_period) {
-  const Subtask& hosted = processor.subtasks()[index];
-  const ProcessorState::TestingSet& set = processor.testing_set(index);
-  Time best = 0;
-  for (std::size_t k = 0; k < set.points.size(); ++k) {
-    const Time t = set.points[k];
-    const Time avail = t - hosted.wcet;
-    if (set.interference[k] >= avail) continue;  // saturated W lands here too
-    const Time slack = avail - set.interference[k];
-    best = std::max(best, slack / ceil_div(t, candidate_period));
-  }
-  const auto higher = processor.subtasks().first(index);
-  for (Time t = candidate_period; t < hosted.deadline;) {
-    const Time avail = t - hosted.wcet;
-    const auto demand = interference_at(t, higher);
-    if (demand && *demand < avail) {
-      best = std::max(best, (avail - *demand) / ceil_div(t, candidate_period));
-    }
-    if (t > kTimeInfinity - candidate_period) break;
-    t += candidate_period;
-  }
-  return best;
-}
-
-Time max_wcet_points(const ProcessorState& processor, const Subtask& prototype) {
-  const std::span<const Subtask> hosted = processor.subtasks();
-  const auto pos_it = std::lower_bound(
-      hosted.begin(), hosted.end(), prototype,
-      [](const Subtask& a, const Subtask& b) { return a.priority < b.priority; });
-  const auto pos = static_cast<std::size_t>(pos_it - hosted.begin());
-
-  Time budget = max_self_budget(hosted.first(pos), prototype.deadline);
-  for (std::size_t i = pos; i < hosted.size() && budget > 0; ++i) {
-    budget = std::min(budget,
-                      max_extra_interference(processor, i, prototype.period));
-  }
-  return std::min(budget, prototype.wcet);
-}
-
-}  // namespace
-
-Time max_admissible_wcet(const ProcessorState& processor,
-                         const Subtask& prototype, MaxSplitMethod method) {
-  if (prototype.deadline <= 0 || prototype.wcet <= 0) return 0;
-  switch (method) {
-    case MaxSplitMethod::kBinarySearch:
-      return max_wcet_binary(processor, prototype);
-    case MaxSplitMethod::kSchedulingPoints:
-      return max_wcet_points(processor, prototype);
-  }
-  return 0;  // unreachable
 }
 
 }  // namespace rmts

@@ -49,14 +49,6 @@ void ProcessorState::add(const Subtask& subtask) {
     if (cache_->soa.size() + 1 == subtasks_.size()) {
       cache_->soa.insert(pos, subtask);
     }
-    if (!cache_->testing_sets.empty()) {
-      cache_->testing_sets.insert(cache_->testing_sets.begin() + offset,
-                                  TestingSet{});
-      cache_->testing_valid.insert(cache_->testing_valid.begin() + offset, 0);
-      for (std::size_t i = pos + 1; i < subtasks_.size(); ++i) {
-        cache_->testing_valid[i] = 0;
-      }
-    }
   }
   utilization_ += subtask.utilization();
 }
@@ -73,14 +65,9 @@ void ProcessorState::remove(std::size_t index) {
     // it on the next kernel query instead.
     const bool soa_in_step = cache.soa.size() == subtasks_.size();
     const bool responses_in_step = cache.response.size() == subtasks_.size();
-    const bool testing_in_step = cache.testing_sets.size() == subtasks_.size();
     if (responses_in_step) {
       cache.response.erase(cache.response.begin() + offset);
       cache.response_valid.erase(cache.response_valid.begin() + offset);
-    }
-    if (testing_in_step) {
-      cache.testing_sets.erase(cache.testing_sets.begin() + offset);
-      cache.testing_valid.erase(cache.testing_valid.begin() + offset);
     }
     subtasks_.erase(subtasks_.begin() + offset);
     if (soa_in_step) cache.soa.remove(index, subtasks_);
@@ -95,11 +82,6 @@ void ProcessorState::remove(std::size_t index) {
         cache.response_valid[i] = 0;
       }
       cache.warm_prefix = std::min(cache.warm_prefix, index);
-    }
-    if (testing_in_step) {
-      for (std::size_t i = index; i < subtasks_.size(); ++i) {
-        cache.testing_valid[i] = 0;
-      }
     }
   } else {
     subtasks_.erase(subtasks_.begin() + offset);
@@ -219,32 +201,6 @@ Time ProcessorState::response_time_of(std::size_t index) const {
   // point therefore exists below the deadline.
   assert(cache_->response[index] != kTimeInfinity);
   return cache_->response[index];
-}
-
-const ProcessorState::TestingSet& ProcessorState::testing_set(
-    std::size_t index) const {
-  assert(index < subtasks_.size());
-  if (cache_ == nullptr) cache_ = std::make_unique<Cache>();
-  Cache& cache = *cache_;
-  if (cache.testing_sets.size() != subtasks_.size()) {
-    cache.testing_sets.assign(subtasks_.size(), TestingSet{});
-    cache.testing_valid.assign(subtasks_.size(), 0);
-  }
-  if (!cache.testing_valid[index]) {
-    const auto hp = std::span<const Subtask>(subtasks_).first(index);
-    TestingSet& set = cache.testing_sets[index];
-    scheduling_points(subtasks_[index].deadline, hp, set.points);
-    set.interference.resize(set.points.size());
-    for (std::size_t k = 0; k < set.points.size(); ++k) {
-      // kTimeInfinity encodes an overflowed W(t) in the memoized set (the
-      // documented TestingSet convention); interference_at itself keeps
-      // overflow distinct from real values via nullopt.
-      const auto demand = interference_at(set.points[k], hp);
-      set.interference[k] = demand ? *demand : kTimeInfinity;
-    }
-    cache.testing_valid[index] = 1;
-  }
-  return cache.testing_sets[index];
 }
 
 }  // namespace rmts

@@ -14,13 +14,13 @@ namespace rmts {
 /// One processor being filled by a partitioning algorithm.  Keeps its
 /// subtasks sorted by priority rank and caches the assigned utilization.
 ///
-/// Admission cache: the exact response time of every hosted subtask (and,
-/// lazily, its time-demand testing set) is memoized and invalidated only
-/// when the set changes at or above its position -- insertion or removal
-/// at position p leaves entries before p untouched.  After an add(),
-/// invalidated entries keep their stale value: the set only grew, so a
-/// response computed under a subset of the current interferers is a valid
-/// lower bound and seeds the re-analysis (see response_time_seeded).
+/// Admission cache: the exact response time of every hosted subtask is
+/// memoized and invalidated only when the set changes at or above its
+/// position -- insertion or removal at position p leaves entries before p
+/// untouched.  After an add(), invalidated entries keep their stale value:
+/// the set only grew, so a response computed under a subset of the current
+/// interferers is a valid lower bound and seeds the re-analysis (see
+/// response_time_seeded).
 /// After a remove() the direction flips -- the interferer set SHRANK, a
 /// stale value is an upper bound and a cached miss may now fit -- so
 /// remove() re-seeds the suffix from each subtask's own wcet instead
@@ -65,7 +65,7 @@ class ProcessorState {
 
   /// Inserts `subtask` at its priority position.  Caller is responsible for
   /// having verified schedulability (see fits()).  Invalidates the cached
-  /// responses and testing sets of every lower-priority hosted subtask.
+  /// responses of every lower-priority hosted subtask.
   void add(const Subtask& subtask);
 
   /// Removes the hosted subtask at `index` (position in subtasks()).  The
@@ -107,18 +107,6 @@ class ProcessorState {
   /// Served from the cache after the first query per hosted set.
   [[nodiscard]] Time response_time_of(std::size_t index) const;
 
-  /// Cached time-demand testing set of the hosted subtask at `index`: its
-  /// scheduling points (sorted, deduplicated, ending at the deadline) and
-  /// the hosted higher-priority interference W(t) at each point
-  /// (kTimeInfinity where W overflows).  Consumed by the scheduling-point
-  /// MaxSplit, which only has to add the candidate-dependent arrival
-  /// multiples on top.
-  struct TestingSet {
-    std::vector<Time> points;
-    std::vector<Time> interference;  // parallel to points
-  };
-  [[nodiscard]] const TestingSet& testing_set(std::size_t index) const;
-
  private:
   /// The memoized analysis state, heap-allocated on the first RTA query so
   /// that (a) purely utilization-driven partitioners (SPA) never pay for
@@ -142,9 +130,6 @@ class ProcessorState {
     /// maintained incrementally by add() once live (and rebuilt whenever
     /// it falls out of step, e.g. after copy-assignment dropped it).
     RtaSoa soa;
-    /// Empty until the first testing_set() query.
-    std::vector<TestingSet> testing_sets;
-    std::vector<char> testing_valid;
   };
 
   /// Makes cache_->response[index] exact for the current hosted set.

@@ -26,17 +26,21 @@ std::optional<std::size_t> largest_index_non_full(
 
 }  // namespace
 
-Rmts::Rmts(BoundPtr bound, MaxSplitMethod method, std::string label)
-    : bound_(std::move(bound)), method_(method), label_(std::move(label)) {}
+Rmts::Rmts(BoundPtr bound, std::string label)
+    : bound_(std::move(bound)), label_(std::move(label)) {}
 
 double Rmts::guaranteed_bound(const TaskSet& tasks) const {
   return std::min(bound_->evaluate(tasks), rmts_bound_cap(tasks.size()));
 }
 
 Assignment Rmts::partition(const TaskSet& tasks, std::size_t m) const {
+  return partition(tasks, m, guaranteed_bound(tasks));
+}
+
+Assignment Rmts::partition(const TaskSet& tasks, std::size_t m,
+                           double lambda) const {
   trace::count(trace::Counter::kPartitionRuns);
   const std::size_t n = tasks.size();
-  const double lambda = guaranteed_bound(tasks);
   const double light_threshold = light_task_threshold(n);
 
   std::vector<ProcessorState> processors(m);
@@ -109,7 +113,7 @@ Assignment Rmts::partition(const TaskSet& tasks, std::size_t m) const {
         auto q = least_utilized_non_full(processors, normal);
         if (!q) q = largest_index_non_full(processors, pre_assigned);
         if (!q) break;  // every processor full
-        placed = assign_or_split(processors[*q], cursor, method_);
+        placed = assign_or_split(processors[*q], cursor);
       }
       if (!placed) {
         unassigned.push_back(cursor.task_id());

@@ -29,7 +29,6 @@
 
 #include "bounds/bound.hpp"
 #include "partition/assignment.hpp"
-#include "partition/max_split.hpp"
 
 namespace rmts {
 
@@ -38,12 +37,18 @@ class Rmts final : public Partitioner {
   /// `bound` is the D-PUB Lambda used by the pre-assign condition (and the
   /// bound the caller wants guaranteed); RM-TS clamps it to the Section V
   /// cap internally.
-  explicit Rmts(BoundPtr bound,
-                MaxSplitMethod method = MaxSplitMethod::kSchedulingPoints,
-                std::string label = "RM-TS");
+  explicit Rmts(BoundPtr bound, std::string label = "RM-TS");
 
+  /// Evaluates guaranteed_bound(tasks) once, then partitions with it.
   [[nodiscard]] Assignment partition(const TaskSet& tasks,
                                      std::size_t processors) const override;
+
+  /// As above with the clamped bound already evaluated: `lambda` must be
+  /// guaranteed_bound(tasks).  Callers that also report the bound (the
+  /// server's admit reply) evaluate it once and pass it here.
+  [[nodiscard]] Assignment partition(const TaskSet& tasks,
+                                     std::size_t processors,
+                                     double lambda) const;
 
   [[nodiscard]] std::string name() const override { return label_; }
 
@@ -53,7 +58,6 @@ class Rmts final : public Partitioner {
 
  private:
   BoundPtr bound_;
-  MaxSplitMethod method_;
   std::string label_;
 };
 

@@ -20,9 +20,8 @@ std::optional<std::size_t> lowest_index_non_full(
 
 }  // namespace
 
-RmtsLight::RmtsLight(MaxSplitMethod method, SelectionPolicy selection,
-                     Time split_granularity)
-    : method_(method), selection_(selection), split_granularity_(split_granularity) {
+RmtsLight::RmtsLight(SelectionPolicy selection, Time split_granularity)
+    : selection_(selection), split_granularity_(split_granularity) {
   if (split_granularity_ < 1) {
     throw InvalidConfigError("RmtsLight: split granularity must be >= 1 tick");
   }
@@ -47,7 +46,7 @@ Assignment RmtsLight::partition(const TaskSet& tasks, std::size_t m) const {
                          ? least_utilized_non_full(processors)
                          : lowest_index_non_full(processors);
       if (!q) break;  // all processors full
-      placed = assign_or_split(processors[*q], cursor, method_, split_granularity_);
+      placed = assign_or_split(processors[*q], cursor, split_granularity_);
     }
     if (!placed) {
       // This task (possibly mid-split) and every higher-priority task that

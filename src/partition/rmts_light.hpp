@@ -22,7 +22,6 @@
 #pragma once
 
 #include "partition/assignment.hpp"
-#include "partition/max_split.hpp"
 
 namespace rmts {
 
@@ -34,8 +33,7 @@ enum class SelectionPolicy : std::uint8_t {
 
 class RmtsLight final : public Partitioner {
  public:
-  explicit RmtsLight(MaxSplitMethod method = MaxSplitMethod::kSchedulingPoints,
-                     SelectionPolicy selection = SelectionPolicy::kWorstFit,
+  explicit RmtsLight(SelectionPolicy selection = SelectionPolicy::kWorstFit,
                      Time split_granularity = 1);
 
   [[nodiscard]] Assignment partition(const TaskSet& tasks,
@@ -44,7 +42,6 @@ class RmtsLight final : public Partitioner {
   [[nodiscard]] std::string name() const override { return name_; }
 
  private:
-  MaxSplitMethod method_;
   SelectionPolicy selection_;
   Time split_granularity_;
   std::string name_;

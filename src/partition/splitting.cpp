@@ -6,7 +6,7 @@
 namespace rmts {
 
 bool assign_or_split(ProcessorState& processor, ChainCursor& cursor,
-                     MaxSplitMethod method, Time split_granularity) {
+                     Time split_granularity) {
   assert(!processor.full());
   assert(!cursor.exhausted());
   assert(split_granularity >= 1);
@@ -32,7 +32,7 @@ bool assign_or_split(ProcessorState& processor, ChainCursor& cursor,
     return false;
   }
 
-  Time prefix = max_admissible_wcet(processor, candidate, method);
+  Time prefix = max_admissible_wcet(processor, candidate);
   assert(prefix < candidate.wcet);  // full fit was rejected above
   prefix -= prefix % split_granularity;
   if (prefix > 0) {

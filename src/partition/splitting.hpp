@@ -70,6 +70,6 @@ class ChainCursor {
 /// multiple of G -- an ablation for platforms with coarse migration slots;
 /// 1 reproduces the paper.
 bool assign_or_split(ProcessorState& processor, ChainCursor& cursor,
-                     MaxSplitMethod method, Time split_granularity = 1);
+                     Time split_granularity = 1);
 
 }  // namespace rmts

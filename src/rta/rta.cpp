@@ -4,7 +4,6 @@
 #include <initializer_list>
 #include <optional>
 
-#include "common/checked_math.hpp"
 #include "rta/rta_kernel.hpp"
 
 namespace rmts {
@@ -135,58 +134,6 @@ bool rm_schedulable_uniprocessor(const TaskSet& tasks) {
     subtasks.push_back(whole_subtask(tasks[rank], rank));
   }
   return processor_schedulable(subtasks);
-}
-
-std::vector<Time> scheduling_points(Time deadline,
-                                    std::span<const Subtask> interferers) {
-  std::vector<Time> points;
-  scheduling_points(deadline, interferers, points);
-  return points;
-}
-
-void scheduling_points(Time deadline, std::span<const Subtask> interferers,
-                       std::vector<Time>& points) {
-  points.clear();
-  // Exact point count before dedup: one per arrival multiple below the
-  // deadline plus the deadline itself.  Capped so a degenerate
-  // short-period/huge-deadline probe cannot demand a gigabyte of scratch
-  // up front -- past the cap the vector just grows geometrically as before.
-  constexpr std::size_t kReserveCap = std::size_t{1} << 20;
-  std::size_t upper = 1;
-  for (const Subtask& j : interferers) {
-    if (j.period <= 0 || deadline <= 1) continue;
-    upper += static_cast<std::size_t>(
-        std::min<Time>((deadline - 1) / j.period,
-                       static_cast<Time>(kReserveCap)));
-    if (upper >= kReserveCap) {
-      upper = kReserveCap;
-      break;
-    }
-  }
-  points.reserve(upper);
-  points.push_back(deadline);
-  for (const Subtask& j : interferers) {
-    for (Time t = j.period; t < deadline;) {
-      points.push_back(t);
-      if (t > kTimeInfinity - j.period) break;  // next multiple not representable
-      t += j.period;
-    }
-  }
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end()), points.end());
-}
-
-std::optional<Time> interference_at(Time t,
-                                    std::span<const Subtask> interferers) {
-  Time demand = 0;
-  for (const Subtask& j : interferers) {
-    const auto term = checked_mul(ceil_div(t, j.period), j.wcet);
-    if (!term) return std::nullopt;
-    const auto sum = checked_add(demand, *term);
-    if (!sum) return std::nullopt;
-    demand = *sum;
-  }
-  return demand;
 }
 
 }  // namespace rmts

@@ -13,7 +13,6 @@
 // Section II), which is why plain uniprocessor RTA is sound here (Lemma 4).
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -88,28 +87,5 @@ struct ProcessorRta {
 /// an unsplit subtask on one processor).  Used by baselines, by
 /// deflatability property tests, and by uniprocessor breakdown search.
 [[nodiscard]] bool rm_schedulable_uniprocessor(const TaskSet& tasks);
-
-/// Time-demand analysis (Lehoczky/Sha/Ding) testing-set formulation:
-/// the scheduling points for a subtask with deadline `deadline` under the
-/// given higher-priority interferers -- all multiples m*T_j in (0, deadline]
-/// plus `deadline` itself, deduplicated and sorted.  Exposed for the
-/// scheduling-point MaxSplit and for cross-checking RTA in tests.
-[[nodiscard]] std::vector<Time> scheduling_points(Time deadline,
-                                                  std::span<const Subtask> interferers);
-
-/// As above into a caller-supplied scratch buffer: `points` is cleared,
-/// reserved from the interferer periods (sum of floor((deadline-1)/T_j)
-/// arrival counts, capped), filled, sorted and deduplicated -- no fresh
-/// allocation once the scratch capacity has grown to the workload.  The
-/// testing-set builder and MaxSplit's search loops call this overload.
-void scheduling_points(Time deadline, std::span<const Subtask> interferers,
-                       std::vector<Time>& points);
-
-/// Total higher-priority demand sum_j ceil(t / T_j) * C_j at time t, or
-/// nullopt if the sum overflows int64 (distinct from any genuine demand,
-/// which is always representable when returned -- callers must not
-/// conflate "overflowed" with a real kTimeInfinity-sized value).
-[[nodiscard]] std::optional<Time> interference_at(
-    Time t, std::span<const Subtask> interferers);
 
 }  // namespace rmts

@@ -204,13 +204,19 @@ void write_assignment_summary(JsonWriter& w, const Assignment& assignment) {
 void handle_admit(JsonWriter& w, const JsonValue& request,
                   const RouterConfig& config) {
   const PartitionRequest p = parse_partition_request(request, config);
-  const Assignment assignment = p.algorithm->partition(p.tasks, p.processors);
+  // RM-TS both partitions with its clamped bound and reports it: evaluate
+  // the bound (a harmonic-chain matching at large N) once for both.
+  const auto* rmts = dynamic_cast<const Rmts*>(p.algorithm.get());
+  const double lambda = rmts != nullptr ? rmts->guaranteed_bound(p.tasks) : 0.0;
+  const Assignment assignment =
+      rmts != nullptr ? rmts->partition(p.tasks, p.processors, lambda)
+                      : p.algorithm->partition(p.tasks, p.processors);
   w.key("algorithm");
   w.value(p.algorithm->name());
   write_task_set_summary(w, p.tasks, p.processors);
-  if (const auto* rmts = dynamic_cast<const Rmts*>(p.algorithm.get())) {
+  if (rmts != nullptr) {
     w.key("guaranteed_bound");
-    w.value(rmts->guaranteed_bound(p.tasks));
+    w.value(lambda);
   }
   write_assignment_summary(w, assignment);
 }

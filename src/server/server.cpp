@@ -253,6 +253,7 @@ struct Server::Impl {
   void controller_tick() {
     std::uint64_t expirations = 0;
     (void)::read(timer_fd, &expirations, sizeof expirations);
+    if (!accepting) set_listen_interest(EPOLLIN);  // retry after EMFILE
 
     std::array<ClassSample, kBudgetClassCount> samples{};
     std::array<Histogram, kBudgetClassCount> latency{};
@@ -380,6 +381,14 @@ struct Server::Impl {
       if (fd < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) return;
         if (errno == EINTR) continue;
+        if (errno == EMFILE || errno == ENFILE) {
+          // Out of descriptors: the connection stays queued, so the
+          // level-triggered listen fd would report it on every
+          // epoll_wait and the loop would spin at full CPU.  Stop
+          // watching it until the next controller tick re-arms it.
+          set_listen_interest(0);
+          return;
+        }
         return;  // transient accept failure; the loop must not die
       }
       if (connections.size() >= config.max_connections) {
@@ -768,6 +777,16 @@ struct Server::Impl {
     ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn.fd, &event);
   }
 
+  /// Arms (EPOLLIN) or pauses (0) the listen fd's readiness reports.
+  void set_listen_interest(std::uint32_t events) {
+    if (listen_fd < 0) return;  // closed by the drain
+    epoll_event event{};
+    event.events = events;
+    event.data.u64 = kListenToken;
+    ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, listen_fd, &event);
+    accepting = events != 0;
+  }
+
   void close_connection(std::uint64_t token) {
     const auto it = connections.find(token);
     if (it == connections.end()) return;
@@ -781,6 +800,8 @@ struct Server::Impl {
 
   ServerConfig config;
   int listen_fd{-1};
+  /// False while accept is paused for lack of descriptors.
+  bool accepting{true};
   int stop_fd{-1};
   int completion_fd{-1};
   int timer_fd{-1};

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "oracle/max_split_points.hpp"
 #include "partition/max_split.hpp"
 #include "partition/processor_state.hpp"
 #include "rta/rta.hpp"
@@ -158,15 +159,13 @@ TEST(AdmissionCache, InterleavedAddRemoveMatchesFromScratchAnalysis) {
             << "seed " << seed << " step " << step << " index " << i;
       }
 
-      // The testing-set cache behind the scheduling-point MaxSplit must
-      // also track removals: both methods agree on the warm cache.
+      // MaxSplit's binary search probes through the re-seeded cache, so
+      // it must keep matching the cache-free scheduling-point oracle
+      // across removals too.
       if (step % 8 == 7) {
         Subtask prototype = random_subtask(rng, 0, true);
-        EXPECT_EQ(
-            max_admissible_wcet(processor, prototype,
-                                MaxSplitMethod::kBinarySearch),
-            max_admissible_wcet(processor, prototype,
-                                MaxSplitMethod::kSchedulingPoints))
+        EXPECT_EQ(max_admissible_wcet(processor, prototype),
+                  oracle::max_admissible_wcet(processor.subtasks(), prototype))
             << "seed " << seed << " step " << step;
       }
     }
@@ -231,14 +230,11 @@ TEST(AdmissionCache, MaxSplitMethodsAgreeOnWarmCache) {
     }
     // Top-priority prototype, as produced by assign_or_split.
     Subtask prototype = random_subtask(rng, 0, true);
-    const Time binary =
-        max_admissible_wcet(processor, prototype, MaxSplitMethod::kBinarySearch);
-    const Time points = max_admissible_wcet(processor, prototype,
-                                            MaxSplitMethod::kSchedulingPoints);
-    EXPECT_EQ(binary, points) << "seed " << seed;
-    // A second query on the now-warm testing-set cache must agree.
-    EXPECT_EQ(points, max_admissible_wcet(processor, prototype,
-                                          MaxSplitMethod::kSchedulingPoints));
+    const Time binary = max_admissible_wcet(processor, prototype);
+    EXPECT_EQ(binary, oracle::max_admissible_wcet(processor.subtasks(), prototype))
+        << "seed " << seed;
+    // A second query on the now-warm response cache must agree.
+    EXPECT_EQ(binary, max_admissible_wcet(processor, prototype));
     // The result is a true maximum: it fits, one more tick does not.
     if (binary > 0 && binary < prototype.wcet) {
       Subtask probe = prototype;

@@ -226,12 +226,10 @@ std::shared_ptr<const Partitioner> make_light() {
   return std::make_shared<RmtsLight>();
 }
 std::shared_ptr<const Partitioner> make_light_ff() {
-  return std::make_shared<RmtsLight>(MaxSplitMethod::kSchedulingPoints,
-                                     SelectionPolicy::kFirstFit);
+  return std::make_shared<RmtsLight>(SelectionPolicy::kFirstFit);
 }
 std::shared_ptr<const Partitioner> make_light_coarse() {
-  return std::make_shared<RmtsLight>(MaxSplitMethod::kSchedulingPoints,
-                                     SelectionPolicy::kWorstFit, 50);
+  return std::make_shared<RmtsLight>(SelectionPolicy::kWorstFit, 50);
 }
 std::shared_ptr<const Partitioner> make_rmts_ll() {
   return std::make_shared<Rmts>(std::make_shared<LiuLaylandBound>());

@@ -133,7 +133,12 @@ TEST(TaskSetIo, RandomRoundTripProperty) {
 class CliTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "cli_tasks.txt";
+    // One file per test: ctest runs the CliTest cases as parallel
+    // processes, and a shared name let one case's TearDown delete the
+    // file under another.
+    path_ = ::testing::TempDir() + "cli_tasks_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".txt";
     std::ofstream file(path_);
     // Harmonic, 3 tasks, U = 2.25: needs splitting on 3 processors at
     // U_M = 0.75.

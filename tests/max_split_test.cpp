@@ -1,20 +1,21 @@
 // MaxSplit (Definition 3): hand-computed values, the bottleneck property
-// (Definition 2), and equivalence of the binary-search and
-// scheduling-point implementations on randomized processors.
+// (Definition 2), its trace counters, and equivalence of the shipped
+// binary search with the scheduling-point oracle on randomized
+// processors -- small hand-scale ones, admit-large-shaped ones, and ones
+// outside the SoA kernel's fast regime.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/trace.hpp"
+#include "oracle/max_split_points.hpp"
 #include "partition/max_split.hpp"
 #include "partition/processor_state.hpp"
 
 namespace rmts {
 namespace {
-
-constexpr auto kBinary = MaxSplitMethod::kBinarySearch;
-constexpr auto kPoints = MaxSplitMethod::kSchedulingPoints;
 
 Subtask make_subtask(std::size_t priority, Time wcet, Time period,
                      Time deadline = 0) {
@@ -30,15 +31,15 @@ Subtask make_subtask(std::size_t priority, Time wcet, Time period,
 TEST(MaxSplit, EmptyProcessorGivesFullBudget) {
   const ProcessorState empty;
   const Subtask candidate = make_subtask(3, 80, 100);
-  EXPECT_EQ(max_admissible_wcet(empty, candidate, kBinary), 80);
-  EXPECT_EQ(max_admissible_wcet(empty, candidate, kPoints), 80);
+  EXPECT_EQ(max_admissible_wcet(empty, candidate), 80);
+  EXPECT_EQ(oracle::max_admissible_wcet(empty.subtasks(), candidate), 80);
 }
 
 TEST(MaxSplit, EmptyProcessorCappedByDeadline) {
   const ProcessorState empty;
   const Subtask candidate = make_subtask(3, 90, 100, 40);  // Delta = 40 < C
-  EXPECT_EQ(max_admissible_wcet(empty, candidate, kBinary), 40);
-  EXPECT_EQ(max_admissible_wcet(empty, candidate, kPoints), 40);
+  EXPECT_EQ(max_admissible_wcet(empty, candidate), 40);
+  EXPECT_EQ(oracle::max_admissible_wcet(empty.subtasks(), candidate), 40);
 }
 
 // Hand example: hosted (C=50, T=100); candidate period 40.  Testing points
@@ -47,25 +48,25 @@ TEST(MaxSplit, HandComputedValue) {
   ProcessorState processor;
   processor.add(make_subtask(5, 50, 100));
   const Subtask candidate = make_subtask(2, 40, 40);
-  EXPECT_EQ(max_admissible_wcet(processor, candidate, kBinary), 16);
-  EXPECT_EQ(max_admissible_wcet(processor, candidate, kPoints), 16);
+  EXPECT_EQ(max_admissible_wcet(processor, candidate), 16);
+  EXPECT_EQ(oracle::max_admissible_wcet(processor.subtasks(), candidate), 16);
 }
 
 TEST(MaxSplit, ZeroWhenNothingFits) {
   ProcessorState processor;
   processor.add(make_subtask(5, 100, 100));  // fully loaded
   const Subtask candidate = make_subtask(2, 10, 50);
-  EXPECT_EQ(max_admissible_wcet(processor, candidate, kBinary), 0);
-  EXPECT_EQ(max_admissible_wcet(processor, candidate, kPoints), 0);
+  EXPECT_EQ(max_admissible_wcet(processor, candidate), 0);
+  EXPECT_EQ(oracle::max_admissible_wcet(processor.subtasks(), candidate), 0);
 }
 
 TEST(MaxSplit, NonPositiveDeadlineYieldsZero) {
   const ProcessorState empty;
   Subtask candidate = make_subtask(2, 10, 50);
   candidate.deadline = 0;
-  EXPECT_EQ(max_admissible_wcet(empty, candidate, kBinary), 0);
+  EXPECT_EQ(max_admissible_wcet(empty, candidate), 0);
   candidate.deadline = -5;
-  EXPECT_EQ(max_admissible_wcet(empty, candidate, kPoints), 0);
+  EXPECT_EQ(oracle::max_admissible_wcet(empty.subtasks(), candidate), 0);
 }
 
 TEST(MaxSplit, CandidateOwnDeadlineWithInterference) {
@@ -73,8 +74,8 @@ TEST(MaxSplit, CandidateOwnDeadlineWithInterference) {
   ProcessorState processor;
   processor.add(make_subtask(1, 20, 100));
   const Subtask candidate = make_subtask(4, 100, 100, 60);
-  EXPECT_EQ(max_admissible_wcet(processor, candidate, kBinary), 40);
-  EXPECT_EQ(max_admissible_wcet(processor, candidate, kPoints), 40);
+  EXPECT_EQ(max_admissible_wcet(processor, candidate), 40);
+  EXPECT_EQ(oracle::max_admissible_wcet(processor.subtasks(), candidate), 40);
 }
 
 TEST(MaxSplit, MidPriorityCandidateConstrainedBothWays) {
@@ -84,8 +85,9 @@ TEST(MaxSplit, MidPriorityCandidateConstrainedBothWays) {
   processor.add(make_subtask(0, 10, 50));
   processor.add(make_subtask(9, 30, 200));
   const Subtask candidate = make_subtask(4, 70, 70);
-  const Time budget = max_admissible_wcet(processor, candidate, kPoints);
-  EXPECT_EQ(max_admissible_wcet(processor, candidate, kBinary), budget);
+  const Time budget =
+      oracle::max_admissible_wcet(processor.subtasks(), candidate);
+  EXPECT_EQ(max_admissible_wcet(processor, candidate), budget);
   ASSERT_GT(budget, 0);
   ASSERT_LT(budget, 70);
   Subtask fitted = candidate;
@@ -95,8 +97,27 @@ TEST(MaxSplit, MidPriorityCandidateConstrainedBothWays) {
   EXPECT_FALSE(processor.fits(fitted));
 }
 
-// Randomized equivalence + bottleneck property: both implementations agree,
-// the result fits, and one more tick does not (Definition 2's bottleneck).
+/// The library's MaxSplit equals the scheduling-point oracle, the result
+/// fits, and one more tick does not (Definition 2's bottleneck).
+void expect_matches_oracle(const ProcessorState& processor,
+                           const Subtask& candidate, int trial) {
+  const Time budget = max_admissible_wcet(processor, candidate);
+  ASSERT_EQ(budget, oracle::max_admissible_wcet(processor.subtasks(), candidate))
+      << "trial " << trial;
+  if (budget > 0) {
+    Subtask fitted = candidate;
+    fitted.wcet = budget;
+    EXPECT_TRUE(processor.fits(fitted)) << "trial " << trial;
+  }
+  if (budget < candidate.wcet) {
+    Subtask over = candidate;
+    over.wcet = budget + 1;
+    EXPECT_FALSE(processor.fits(over)) << "trial " << trial;
+  }
+}
+
+// The two methods -- the shipped binary search and the scheduling-point
+// oracle -- agree on hand-scale random processors, candidate at any rank.
 TEST(MaxSplit, MethodsAgreeAndLeaveBottleneck) {
   Rng rng(2024);
   for (int trial = 0; trial < 1000; ++trial) {
@@ -131,21 +152,78 @@ TEST(MaxSplit, MethodsAgreeAndLeaveBottleneck) {
     if (rng.uniform() < 0.3) {
       candidate.deadline = rng.uniform_int(1, period);
     }
+    expect_matches_oracle(processor, candidate, trial);
+  }
+}
 
-    const Time via_binary = max_admissible_wcet(processor, candidate, kBinary);
-    const Time via_points = max_admissible_wcet(processor, candidate, kPoints);
-    ASSERT_EQ(via_binary, via_points) << "trial " << trial;
+/// Random hosted set on priorities 1..`count` (0 is left for the split
+/// prototype), periods log-uniform in [period_lo, period_hi], wcets a
+/// random share of `load` / count of the period, and about a third of
+/// them tails with a synthetic deadline in [wcet, period].  Subtasks the
+/// processor does not admit are skipped, so it stays schedulable.
+ProcessorState random_processor(Rng& rng, std::size_t count, Time period_lo,
+                                Time period_hi, double load) {
+  ProcessorState processor;
+  for (std::size_t i = 1; i <= count; ++i) {
+    const Time period = rng.log_uniform_time(period_lo, period_hi);
+    const double share = rng.uniform(0.2, 1.0) * load / static_cast<double>(count);
+    Subtask s = make_subtask(
+        i, std::max<Time>(1, static_cast<Time>(share * static_cast<double>(period))),
+        period);
+    if (rng.uniform() < 0.35) {
+      s.deadline = rng.uniform_int(s.wcet, period);
+      s.kind = SubtaskKind::kTail;
+    }
+    if (processor.fits(s)) processor.add(s);
+  }
+  return processor;
+}
 
-    if (via_binary > 0) {
-      Subtask fitted = candidate;
-      fitted.wcet = via_binary;
-      EXPECT_TRUE(processor.fits(fitted)) << "trial " << trial;
+// The shape MaxSplit sees on the admit-large workload: log-uniform periods
+// in [10^3, 10^6], up to a dozen hosted subtasks near full load, synthetic
+// deadlines, and the prototype at top local priority (Lemma 2).
+TEST(MaxSplit, MatchesOracleOnAdmitLargeShapedProcessors) {
+  Rng rng(6401);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto count = static_cast<std::size_t>(rng.uniform_int(0, 12));
+    const ProcessorState processor = random_processor(
+        rng, count, 1'000, 1'000'000, rng.uniform(0.5, 0.95));
+    const Time period = rng.log_uniform_time(1'000, 1'000'000);
+    Subtask candidate = make_subtask(
+        0, rng.uniform_int(1, period), period, rng.uniform_int(1, period));
+    candidate.kind = SubtaskKind::kTail;
+    expect_matches_oracle(processor, candidate, trial);
+  }
+}
+
+// Periods and deadlines at or above 2^31, where fits() leaves the kernel's
+// fast path for the checked scalar loop, up to magnitudes where the
+// demand sums overflow int64.  Each trial's periods share one band
+// [B, 8B), which keeps the oracle's testing sets small.
+TEST(MaxSplit, MatchesOracleOutsideKernelFastRegime) {
+  Rng rng(31);
+  for (int trial = 0; trial < 300; ++trial) {
+    const Time band = rng.log_uniform_time(Time{1} << 31, Time{1} << 59);
+    const auto count = static_cast<std::size_t>(rng.uniform_int(0, 8));
+    ProcessorState processor;
+    for (std::size_t i = 1; i <= count; ++i) {
+      const Time period = rng.uniform_int(band, 8 * band - 1);
+      Subtask s = make_subtask(2 * i, rng.uniform_int(1, period / 2), period);
+      s.deadline = rng.uniform_int(std::max(s.wcet, Time{1} << 31), period);
+      if (processor.fits(s)) processor.add(s);
     }
-    if (via_binary < candidate.wcet) {
-      Subtask over = candidate;
-      over.wcet = via_binary + 1;
-      EXPECT_FALSE(processor.fits(over)) << "trial " << trial;
-    }
+    // Half the prototypes split at top priority, the rest land between
+    // hosted ranks (odd ranks never tie with the even hosted ones).
+    const std::size_t priority =
+        rng.uniform() < 0.5
+            ? 0
+            : 2 * static_cast<std::size_t>(rng.uniform_int(
+                      0, static_cast<std::int64_t>(count))) + 1;
+    const Time period = rng.uniform_int(band, 8 * band - 1);
+    const Subtask candidate =
+        make_subtask(priority, rng.uniform_int(1, period), period,
+                     rng.uniform_int(Time{1} << 31, period));
+    expect_matches_oracle(processor, candidate, trial);
   }
 }
 
@@ -156,8 +234,32 @@ TEST(MaxSplit, MonotoneInHostedLoad) {
   ProcessorState heavy = light;
   heavy.add(make_subtask(7, 30, 150));
   const Subtask candidate = make_subtask(2, 60, 60);
-  EXPECT_GE(max_admissible_wcet(light, candidate, kPoints),
-            max_admissible_wcet(heavy, candidate, kPoints));
+  EXPECT_GE(max_admissible_wcet(light, candidate),
+            max_admissible_wcet(heavy, candidate));
+}
+
+// One call flushes exactly one kMaxSplitCalls and its binary-search probe
+// count.  The HandComputedValue processor: the search over [0, 40] probes
+// 20 (no), 10 (yes), 15 (yes), 17 (no), 16 (yes) -> 16 after 5 probes.
+TEST(MaxSplit, CountsOneCallAndItsProbes) {
+  if (!trace::compiled_in()) GTEST_SKIP() << "tracing compiled out";
+  trace::set_enabled(true);
+  ProcessorState processor;
+  processor.add(make_subtask(5, 50, 100));
+  const Subtask candidate = make_subtask(2, 40, 40);
+  const trace::Snapshot before = trace::snapshot();
+  EXPECT_EQ(max_admissible_wcet(processor, candidate), 16);
+  const trace::Snapshot after = trace::snapshot();
+  EXPECT_EQ(after.counter(trace::Counter::kMaxSplitCalls) -
+                before.counter(trace::Counter::kMaxSplitCalls),
+            1u);
+  EXPECT_EQ(after.counter(trace::Counter::kMaxSplitProbes) -
+                before.counter(trace::Counter::kMaxSplitProbes),
+            5u);
+  // The probes are ordinary admission probes, counted there too.
+  EXPECT_EQ(after.counter(trace::Counter::kAdmissionSeededRta) -
+                before.counter(trace::Counter::kAdmissionSeededRta),
+            5u);
 }
 
 TEST(ProcessorState, AddMaintainsPriorityOrderAndUtilization) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "bounds/best_of.hpp"
 #include "bounds/constant_bound.hpp"
@@ -21,8 +22,7 @@ Rmts make_rmts() { return Rmts(std::make_shared<LiuLaylandBound>()); }
 
 TEST(Rmts, NameAndCustomLabel) {
   EXPECT_EQ(make_rmts().name(), "RM-TS");
-  const Rmts labelled(std::make_shared<HarmonicChainBound>(),
-                      MaxSplitMethod::kSchedulingPoints, "RM-TS[HC]");
+  const Rmts labelled(std::make_shared<HarmonicChainBound>(), "RM-TS[HC]");
   EXPECT_EQ(labelled.name(), "RM-TS[HC]");
 }
 
@@ -34,6 +34,46 @@ TEST(Rmts, GuaranteedBoundClampsAtCap) {
   EXPECT_DOUBLE_EQ(generous.guaranteed_bound(tasks), rmts_bound_cap(3));
   const Rmts modest(std::make_shared<ConstantBound>(0.5));
   EXPECT_DOUBLE_EQ(modest.guaranteed_bound(tasks), 0.5);
+}
+
+/// A constant bound that counts its evaluations.
+class CountingBound final : public ParametricBound {
+ public:
+  explicit CountingBound(double value) : value_(value) {}
+  [[nodiscard]] double evaluate(const TaskSet&) const override {
+    ++calls;
+    return value_;
+  }
+  [[nodiscard]] std::string name() const override { return "counting"; }
+  mutable int calls{0};
+
+ private:
+  double value_;
+};
+
+TEST(Rmts, PartitionEvaluatesTheBoundOnceAndTheOverloadNever) {
+  // The server's admit path evaluates the bound once for its reply and
+  // hands it to the overload; both entry points must agree.
+  const auto bound = std::make_shared<CountingBound>(0.7);
+  const Rmts rmts(bound);
+  Rng rng(12);
+  WorkloadConfig config;
+  config.tasks = 16;
+  config.processors = 4;
+  config.normalized_utilization = 0.8;
+  const TaskSet tasks = generate(rng, config);
+
+  const Assignment evaluated = rmts.partition(tasks, 4);
+  EXPECT_EQ(bound->calls, 1);
+  const double lambda = rmts.guaranteed_bound(tasks);
+  bound->calls = 0;
+  const Assignment given = rmts.partition(tasks, 4, lambda);
+  EXPECT_EQ(bound->calls, 0);
+  ASSERT_EQ(evaluated.success, given.success);
+  ASSERT_EQ(evaluated.processors.size(), given.processors.size());
+  for (std::size_t q = 0; q < given.processors.size(); ++q) {
+    EXPECT_EQ(evaluated.processors[q].subtasks, given.processors[q].subtasks);
+  }
 }
 
 TEST(Rmts, NoHeavyTasksMatchesRmtsLightExactly) {

@@ -3,8 +3,12 @@
 // randomized structural invariants.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "helpers.hpp"
+#include "oracle/max_split_points.hpp"
 #include "partition/rmts_light.hpp"
 #include "workload/generators.hpp"
 
@@ -115,28 +119,53 @@ TEST(RmtsLight, WorstFitSpreadsLoadEvenly) {
   }
 }
 
+// RM-TS/light with the shipped MaxSplit produces the assignment it would
+// with the scheduling-point oracle: every body it places is the oracle's
+// MaxSplit at the moment of its split (the rest of the algorithm is
+// deterministic, so equal splits give equal assignments).  A processor
+// is sealed right after its split, so the body was its last arrival and
+// the hosts it was split against are the processor's other subtasks; the
+// prototype carried the task's whole remaining wcet.
 TEST(RmtsLight, BothMaxSplitMethodsProduceIdenticalAssignments) {
   Rng rng(77);
   WorkloadConfig config;
   config.tasks = 12;
   config.processors = 3;
   config.max_task_utilization = 0.5;
-  for (int trial = 0; trial < 50; ++trial) {
+  std::size_t bodies = 0;
+  for (int trial = 0; trial < 200; ++trial) {
     config.normalized_utilization = 0.55 + 0.4 * rng.uniform();
     Rng sample = rng.fork(static_cast<std::uint64_t>(trial));
     const TaskSet tasks = generate(sample, config);
-    const Assignment via_binary =
-        RmtsLight(MaxSplitMethod::kBinarySearch).partition(tasks, 3);
-    const Assignment via_points =
-        RmtsLight(MaxSplitMethod::kSchedulingPoints).partition(tasks, 3);
-    ASSERT_EQ(via_binary.success, via_points.success);
-    ASSERT_EQ(via_binary.processors.size(), via_points.processors.size());
-    for (std::size_t q = 0; q < via_binary.processors.size(); ++q) {
-      EXPECT_EQ(via_binary.processors[q].subtasks,
-                via_points.processors[q].subtasks)
-          << "trial " << trial << " processor " << q;
+    const Assignment assignment = RmtsLight().partition(tasks, 3);
+    std::map<TaskId, std::map<int, Time>> parts;  // task -> part -> wcet
+    for (const ProcessorAssignment& processor : assignment.processors) {
+      for (const Subtask& s : processor.subtasks) {
+        parts[s.task_id][s.part] = s.wcet;
+      }
+    }
+    for (const ProcessorAssignment& processor : assignment.processors) {
+      for (const Subtask& body : processor.subtasks) {
+        if (body.kind != SubtaskKind::kBody) continue;
+        ++bodies;
+        std::vector<Subtask> hosts;
+        for (const Subtask& s : processor.subtasks) {
+          if (s.task_id != body.task_id) hosts.push_back(s);
+        }
+        Subtask prototype = body;
+        for (const Task& task : tasks) {
+          if (task.id == body.task_id) prototype.wcet = task.wcet;
+        }
+        for (const auto& [part, wcet] : parts[body.task_id]) {
+          if (part < body.part) prototype.wcet -= wcet;
+        }
+        EXPECT_EQ(oracle::max_admissible_wcet(hosts, prototype), body.wcet)
+            << "trial " << trial << " task " << body.task_id << " part "
+            << body.part;
+      }
     }
   }
+  EXPECT_GT(bodies, 20u);
 }
 
 TEST(RmtsLight, RandomizedStructuralInvariants) {

@@ -14,6 +14,7 @@
 
 #include "common/checked_math.hpp"
 #include "common/rng.hpp"
+#include "oracle/max_split_points.hpp"
 #include "partition/processor_state.hpp"
 #include "rta/rta.hpp"
 #include "rta/rta_kernel.hpp"
@@ -388,7 +389,7 @@ TEST(RtaKernel, JitterResponseMatchesScalarSaturatingLoop) {
     std::optional<Time> expected;
     if (hosted[i].wcet <= bound) {
       const auto sat_interference = [&](Time t) {
-        const auto demand = interference_at(t, hp);
+        const auto demand = oracle::interference_at(t, hp);
         return demand ? *demand : kTimeInfinity;
       };
       Time r = sat_add(hosted[i].wcet,
@@ -430,8 +431,9 @@ TEST(SchedulingPoints, ScratchOverloadMatchesAllocatingOverload) {
       interferers.push_back(
           make_subtask(i, sample.uniform_int(1, period), period, period));
     }
-    const std::vector<Time> allocated = scheduling_points(deadline, interferers);
-    scheduling_points(deadline, interferers, scratch);
+    const std::vector<Time> allocated =
+        oracle::scheduling_points(deadline, interferers);
+    oracle::scheduling_points(deadline, interferers, scratch);
     ASSERT_EQ(scratch, allocated) << "trial " << trial;
     ASSERT_TRUE(std::is_sorted(scratch.begin(), scratch.end()));
     ASSERT_EQ(std::adjacent_find(scratch.begin(), scratch.end()),

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "oracle/max_split_points.hpp"
 #include "rta/rta.hpp"
 
 namespace rmts {
@@ -93,7 +94,7 @@ TEST(Rta, FirstMissIndexReported) {
 TEST(SchedulingPoints, ContainsDeadlineAndArrivals) {
   const TaskSet set = TaskSet::from_pairs({{5, 30}, {5, 45}});
   const auto hp = as_subtasks(set);
-  const std::vector<Time> points = scheduling_points(100, hp);
+  const std::vector<Time> points = oracle::scheduling_points(100, hp);
   // Multiples of 30 and 45 below 100, plus 100 itself.
   const std::vector<Time> expected{30, 45, 60, 90, 100};
   EXPECT_EQ(points, expected);
@@ -102,7 +103,7 @@ TEST(SchedulingPoints, ContainsDeadlineAndArrivals) {
 TEST(SchedulingPoints, DeduplicatesCoincidingArrivals) {
   const TaskSet set = TaskSet::from_pairs({{5, 30}, {5, 60}});
   const auto hp = as_subtasks(set);
-  const std::vector<Time> points = scheduling_points(90, hp);
+  const std::vector<Time> points = oracle::scheduling_points(90, hp);
   const std::vector<Time> expected{30, 60, 90};
   EXPECT_EQ(points, expected);
 }
@@ -110,9 +111,9 @@ TEST(SchedulingPoints, DeduplicatesCoincidingArrivals) {
 TEST(InterferenceAt, CeilingSemantics) {
   const TaskSet set = TaskSet::from_pairs({{10, 100}});
   const auto hp = as_subtasks(set);
-  EXPECT_EQ(interference_at(1, hp), std::optional<Time>{10});
-  EXPECT_EQ(interference_at(100, hp), std::optional<Time>{10});
-  EXPECT_EQ(interference_at(101, hp), std::optional<Time>{20});
+  EXPECT_EQ(oracle::interference_at(1, hp), std::optional<Time>{10});
+  EXPECT_EQ(oracle::interference_at(100, hp), std::optional<Time>{10});
+  EXPECT_EQ(oracle::interference_at(101, hp), std::optional<Time>{20});
 }
 
 TEST(InterferenceAt, OverflowIsTaggedNotSaturated) {
@@ -122,8 +123,8 @@ TEST(InterferenceAt, OverflowIsTaggedNotSaturated) {
   const Time huge = kTimeInfinity / 2;
   const std::vector<Subtask> hp{
       {0, 0, 0, huge, 3, huge, SubtaskKind::kWhole}};
-  EXPECT_EQ(interference_at(huge, hp), std::nullopt);
-  EXPECT_EQ(interference_at(3, hp), std::optional<Time>{huge});
+  EXPECT_EQ(oracle::interference_at(huge, hp), std::nullopt);
+  EXPECT_EQ(oracle::interference_at(3, hp), std::optional<Time>{huge});
 }
 
 // Cross-check: RTA schedulability == time-demand analysis over the testing
@@ -146,8 +147,9 @@ TEST(Rta, AgreesWithTimeDemandAnalysis) {
       const RtaOutcome rta =
           response_time(subtasks[i].wcet, subtasks[i].deadline, hp);
       bool tda = false;
-      for (const Time t : scheduling_points(subtasks[i].deadline, hp)) {
-        const auto demand = interference_at(t, hp);
+      for (const Time t :
+           oracle::scheduling_points(subtasks[i].deadline, hp)) {
+        const auto demand = oracle::interference_at(t, hp);
         if (demand && subtasks[i].wcet + *demand <= t) {
           tda = true;
           break;
@@ -240,10 +242,11 @@ TEST(Rta, FixedPointIsMinimal) {
     const Time wcet = rng.uniform_int(1, 20);
     const RtaOutcome outcome = response_time(wcet, 2000, hp);
     if (!outcome.schedulable) continue;
-    EXPECT_EQ(wcet + interference_at(outcome.response, hp).value(),
-              outcome.response);
+    EXPECT_EQ(
+        wcet + oracle::interference_at(outcome.response, hp).value(),
+        outcome.response);
     for (Time t = std::max<Time>(1, outcome.response - 25); t < outcome.response; ++t) {
-      EXPECT_GT(wcet + interference_at(t, hp).value(), t);
+      EXPECT_GT(wcet + oracle::interference_at(t, hp).value(), t);
     }
   }
 }

@@ -2,11 +2,14 @@
 // line framing, request routing, the in-process epoll server (every
 // endpoint, load shedding, graceful mid-request shutdown), and a
 // fork/exec smoke of the real rmts_serve binary (RMTS_SERVE_BIN).
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -564,6 +567,56 @@ TEST(ServerTest, StopIsIdempotentAndRunReturns) {
   server.request_stop();
   server.run();  // a pre-stopped server drains immediately
   SUCCEED();
+}
+
+/// CPU time this process has used so far, all threads, in seconds.
+double process_cpu_seconds() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+// At the descriptor limit accept4 fails with EMFILE and the connection
+// stays queued, so the level-triggered listen fd keeps reporting readable.
+// The event loop must idle rather than spin on it, and must accept the
+// queued peer once a descriptor frees up.
+TEST(ServerTest, DescriptorExhaustionNeitherSpinsNorLosesThePeer) {
+  LiveServer server(test_config());
+  rlimit original{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &original), 0);
+  // `spare` is the descriptor freed later; `slot` (the lowest free one)
+  // is left for the client's socket, and the limit admits nothing above.
+  const int spare = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  const int slot = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(spare, 0);
+  ASSERT_GE(slot, 0);
+  ::close(slot);
+  rlimit lowered = original;
+  lowered.rlim_cur = static_cast<rlim_t>(slot) + 1;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  struct Restore {
+    rlimit limit;
+    ~Restore() { ::setrlimit(RLIMIT_NOFILE, &limit); }
+  } restore{original};
+
+  Client client("127.0.0.1", server->port());  // queued, not yet accepted
+  const auto wall_start = std::chrono::steady_clock::now();
+  const double cpu_start = process_cpu_seconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  const double cpu = process_cpu_seconds() - cpu_start;
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - wall_start)
+                          .count();
+  EXPECT_LT(cpu, 0.25 * wall) << "event loop spun at the descriptor limit";
+  EXPECT_EQ(server->runtime_stats().connections_accepted, 0u);
+
+  ::close(spare);
+  const JsonValue reply = parse_ok(client.request(make_stats_request()));
+  EXPECT_TRUE(reply.find("ok")->as_bool());
+  EXPECT_EQ(server->runtime_stats().connections_accepted, 1u);
 }
 
 // ------------------------------------------------ rmts_serve fork/exec --

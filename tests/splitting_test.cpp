@@ -4,14 +4,13 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "oracle/max_split_points.hpp"
 #include "partition/policies.hpp"
 #include "partition/rmts_light.hpp"
 #include "partition/splitting.hpp"
 
 namespace rmts {
 namespace {
-
-constexpr auto kPoints = MaxSplitMethod::kSchedulingPoints;
 
 TEST(ChainCursor, FreshTaskIsWholeCandidate) {
   const Task task{40, 100, 7};
@@ -48,7 +47,7 @@ TEST(ChainCursor, ConsumeAllExhausts) {
 TEST(AssignOrSplit, WholeFitPlacesAndExhausts) {
   ProcessorState processor;
   ChainCursor cursor(Task{40, 100, 0}, 0);
-  EXPECT_TRUE(assign_or_split(processor, cursor, kPoints));
+  EXPECT_TRUE(assign_or_split(processor, cursor));
   EXPECT_TRUE(cursor.exhausted());
   EXPECT_FALSE(processor.full());
   EXPECT_EQ(processor.subtasks().size(), 1u);
@@ -58,12 +57,16 @@ TEST(AssignOrSplit, OverflowSplitsAndMarksFull) {
   ProcessorState processor;
   processor.add(Subtask{5, 5, 0, 60, 100, 100, SubtaskKind::kWhole});
   ChainCursor cursor(Task{80, 100, 0}, 0);
-  EXPECT_FALSE(assign_or_split(processor, cursor, kPoints));
+  const Time expected =
+      oracle::max_admissible_wcet(processor.subtasks(), cursor.candidate());
+  EXPECT_FALSE(assign_or_split(processor, cursor));
   EXPECT_TRUE(processor.full());
   EXPECT_FALSE(cursor.exhausted());
   EXPECT_EQ(processor.subtasks().size(), 2u);
-  // Body got 40 ticks (fills the processor to its bottleneck exactly).
-  EXPECT_EQ(processor.subtasks().front().wcet, 40);
+  // Body got 40 ticks (fills the processor to its bottleneck exactly), the
+  // scheduling-point oracle's value.
+  EXPECT_EQ(expected, 40);
+  EXPECT_EQ(processor.subtasks().front().wcet, expected);
   EXPECT_EQ(processor.subtasks().front().kind, SubtaskKind::kBody);
   EXPECT_EQ(cursor.remaining_wcet(), 40);
   EXPECT_EQ(cursor.remaining_deadline(), 60);
@@ -73,7 +76,7 @@ TEST(AssignOrSplit, NothingFitsLeavesCursorUntouched) {
   ProcessorState processor;
   processor.add(Subtask{5, 5, 0, 100, 100, 100, SubtaskKind::kWhole});
   ChainCursor cursor(Task{10, 50, 0}, 0);
-  EXPECT_FALSE(assign_or_split(processor, cursor, kPoints));
+  EXPECT_FALSE(assign_or_split(processor, cursor));
   EXPECT_TRUE(processor.full());
   EXPECT_EQ(cursor.remaining_wcet(), 10);
   EXPECT_EQ(cursor.remaining_deadline(), 50);
@@ -87,7 +90,7 @@ TEST(AssignOrSplit, RefusesToSplitBelowHigherPriorityTask) {
   ProcessorState processor;
   processor.add(Subtask{1, 1, 0, 60, 100, 100, SubtaskKind::kWhole});
   ChainCursor cursor(Task{90, 200, 0}, 4);  // lower priority than rank 1
-  EXPECT_FALSE(assign_or_split(processor, cursor, kPoints));
+  EXPECT_FALSE(assign_or_split(processor, cursor));
   EXPECT_TRUE(processor.full());
   EXPECT_EQ(cursor.remaining_wcet(), 90);         // nothing consumed
   EXPECT_EQ(processor.subtasks().size(), 1u);     // nothing placed
@@ -99,7 +102,7 @@ TEST(AssignOrSplit, WholeFitBelowHigherPriorityTaskIsStillAllowed) {
   ProcessorState processor;
   processor.add(Subtask{1, 1, 0, 60, 100, 100, SubtaskKind::kWhole});
   ChainCursor cursor(Task{50, 200, 0}, 4);
-  EXPECT_TRUE(assign_or_split(processor, cursor, kPoints));
+  EXPECT_TRUE(assign_or_split(processor, cursor));
   EXPECT_EQ(processor.subtasks().size(), 2u);
 }
 
@@ -107,7 +110,7 @@ TEST(AssignOrSplit, GranularityQuantizesPrefix) {
   ProcessorState processor;
   processor.add(Subtask{5, 5, 0, 60, 100, 100, SubtaskKind::kWhole});
   ChainCursor cursor(Task{80, 100, 0}, 0);
-  EXPECT_FALSE(assign_or_split(processor, cursor, kPoints, 25));
+  EXPECT_FALSE(assign_or_split(processor, cursor, 25));
   // Exact MaxSplit would give 40; quantized down to 25.
   EXPECT_EQ(processor.subtasks().front().wcet, 25);
   EXPECT_EQ(cursor.remaining_wcet(), 55);
@@ -117,20 +120,20 @@ TEST(AssignOrSplit, GranularityCanForceEmptySplit) {
   ProcessorState processor;
   processor.add(Subtask{5, 5, 0, 60, 100, 100, SubtaskKind::kWhole});
   ChainCursor cursor(Task{80, 100, 0}, 0);
-  EXPECT_FALSE(assign_or_split(processor, cursor, kPoints, 64));
+  EXPECT_FALSE(assign_or_split(processor, cursor, 64));
   EXPECT_EQ(processor.subtasks().size(), 1u);  // 40 -> quantized to 0
   EXPECT_EQ(cursor.remaining_wcet(), 80);
 }
 
 TEST(RmtsLightConfig, RejectsNonPositiveGranularity) {
-  EXPECT_THROW(RmtsLight(kPoints, SelectionPolicy::kWorstFit, 0),
+  EXPECT_THROW(RmtsLight(SelectionPolicy::kWorstFit, 0),
                InvalidConfigError);
 }
 
 TEST(RmtsLightConfig, NameReflectsKnobs) {
-  EXPECT_EQ(RmtsLight(kPoints, SelectionPolicy::kFirstFit).name(),
+  EXPECT_EQ(RmtsLight(SelectionPolicy::kFirstFit).name(),
             "RM-TS/light[ff]");
-  EXPECT_EQ(RmtsLight(kPoints, SelectionPolicy::kWorstFit, 100).name(),
+  EXPECT_EQ(RmtsLight(SelectionPolicy::kWorstFit, 100).name(),
             "RM-TS/light[g=100]");
 }
 

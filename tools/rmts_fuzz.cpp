@@ -44,7 +44,9 @@
 // fast-path boundary -- must produce bit-identical analysis outcomes,
 // admission verdicts and response times through kernel_analyze,
 // ProcessorState::fits/fits_batch and kernel_jitter_response, with the
-// SoA mirror staying consistent under any incremental insertion order.
+// SoA mirror staying consistent under any incremental insertion order;
+// and each drawn processor's MaxSplit (binary search over fits()) must
+// equal the scheduling-point oracle from tests/oracle/.
 //
 // On violation the exact seed/attempt and fault configuration are printed
 // and the offending task set is written to
@@ -71,8 +73,10 @@
 #include "common/rng.hpp"
 #include "io/taskset_io.hpp"
 #include "online/session.hpp"
+#include "oracle/max_split_points.hpp"
 #include "partition/baselines.hpp"
 #include "partition/edf_split.hpp"
+#include "partition/max_split.hpp"
 #include "partition/processor_state.hpp"
 #include "partition/rmts.hpp"
 #include "partition/rmts_light.hpp"
@@ -336,7 +340,7 @@ std::optional<Time> oracle_jitter(Time wcet, Time bound,
     return sum ? *sum : kTimeInfinity;
   };
   const auto sat_interference = [&](Time t) noexcept {
-    const auto demand = interference_at(t, hp);
+    const auto demand = oracle::interference_at(t, hp);
     return demand ? *demand : kTimeInfinity;
   };
   if (wcet > bound) return std::nullopt;
@@ -375,6 +379,29 @@ Subtask random_kernel_subtask(Rng& rng, std::size_t priority,
   return s;
 }
 
+/// Upper estimate of the testing points the scheduling-point MaxSplit
+/// oracle enumerates for `prototype` on `hosted`: D/T per (subject,
+/// interferer) pair, the prototype counted as an interferer of every
+/// lower-ranked host.  Saturates in double, so it never overflows.
+double testing_points(std::span<const Subtask> hosted, const Subtask& prototype) {
+  const auto ratio = [](Time deadline, Time period) {
+    return static_cast<double>(deadline) / static_cast<double>(period);
+  };
+  double points = 0.0;
+  for (std::size_t i = 0; i < hosted.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      points += ratio(hosted[i].deadline, hosted[j].period);
+    }
+    if (hosted[i].priority < prototype.priority) {
+      points += ratio(prototype.deadline, hosted[i].period);
+    } else {
+      points += ratio(hosted[i].deadline, prototype.period);
+    }
+  }
+  return points;
+}
+constexpr double kMaxOraclePoints = 1 << 16;
+
 /// Differential fuzz of the SoA kernel against the scalar path.  Returns
 /// the number of violations found.
 std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
@@ -382,6 +409,7 @@ std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
   const auto start = std::chrono::steady_clock::now();
   std::uint64_t attempts = 0;
   std::uint64_t probes = 0;
+  std::uint64_t max_splits = 0;
   std::uint64_t violations = 0;
   const auto fail = [&](const std::string& what) {
     ++violations;
@@ -535,11 +563,31 @@ std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
       const auto sj = oracle_jitter(subtasks[i].wcet, bound, hp, jitter);
       if (kj != sj) fail("kernel_jitter_response diverged from scalar loop");
     }
+
+    // (f) MaxSplit: the binary search over fits() on the drawn processor
+    // equals the scheduling-point oracle, for a prototype at any rank.
+    // Requires a schedulable host, and the oracle's testing sets must stay
+    // enumerable (overflow-scale draws can ask for ~2^60 points).
+    if (kernel.schedulable) {
+      const Subtask prototype = random_kernel_subtask(
+          sample, static_cast<std::size_t>(sample.uniform_int(0, 20)),
+          overflow_scale);
+      if (testing_points(subtasks, prototype) <= kMaxOraclePoints) {
+        ++max_splits;
+        const Time library = max_admissible_wcet(in_order, prototype);
+        const Time expected = oracle::max_admissible_wcet(subtasks, prototype);
+        if (library != expected) {
+          fail("max_admissible_wcet " + std::to_string(library) +
+               " diverged from the scheduling-point oracle's " +
+               std::to_string(expected));
+        }
+      }
+    }
   }
 
   std::cout << "rmts_fuzz kernel: " << attempts << " hosted sets, " << probes
-            << " admission probes, " << violations << " violations (seed "
-            << seed << ")\n";
+            << " admission probes, " << max_splits << " MaxSplit checks, "
+            << violations << " violations (seed " << seed << ")\n";
   return violations;
 }
 
@@ -769,10 +817,7 @@ int main(int argc, char** argv) {
 
   const std::vector<Entry> roster{
       {std::make_shared<RmtsLight>(), DispatchPolicy::kFixedPriority, true},
-      {std::make_shared<RmtsLight>(MaxSplitMethod::kBinarySearch),
-       DispatchPolicy::kFixedPriority, true},
-      {std::make_shared<RmtsLight>(MaxSplitMethod::kSchedulingPoints,
-                                   SelectionPolicy::kFirstFit),
+      {std::make_shared<RmtsLight>(SelectionPolicy::kFirstFit),
        DispatchPolicy::kFixedPriority, true},
       {std::make_shared<Rmts>(
            std::make_shared<BestOfBounds>(BestOfBounds::all_known())),
