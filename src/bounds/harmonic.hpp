@@ -7,8 +7,10 @@
 // MINIMUM chain partition of the divisibility poset.  By Dilworth's
 // theorem this equals N minus a maximum bipartite matching on the strict
 // divisibility relation, which we solve exactly with Kuhn's augmenting-path
-// algorithm (task counts here are small).  A cheaper greedy decomposition
-// is provided for comparison/ablation; it never produces fewer chains.
+// algorithm over a bitset adjacency of the period-sorted relation, built
+// once per call (task counts here are small).  A cheaper greedy
+// decomposition is provided for comparison/ablation; it never produces
+// fewer chains.
 #pragma once
 
 #include <cstddef>
@@ -20,8 +22,8 @@
 
 namespace rmts {
 
-/// Minimum number of harmonic chains covering `periods` (exact, via
-/// maximum bipartite matching on the strict divisibility order).
+/// Minimum number of harmonic chains covering positive `periods` (exact,
+/// via maximum bipartite matching on the strict divisibility order).
 /// Returns 0 for an empty input.
 [[nodiscard]] std::size_t min_harmonic_chains(std::span<const Time> periods);
 

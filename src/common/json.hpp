@@ -10,16 +10,16 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 namespace rmts {
 
-/// Returns `raw` with '"', '\\' and control characters (< 0x20) escaped
-/// so that surrounding the result with quotes yields a valid JSON string.
-/// Common controls use the short forms (\n, \t, \r, \b, \f); the rest use
-/// \u00XX.  Bytes >= 0x80 pass through untouched (UTF-8 is valid JSON).
-inline std::string json_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
+/// Appends `raw` to `out` with '"', '\\' and control characters (< 0x20)
+/// escaped, so that surrounding the result with quotes yields a valid
+/// JSON string.  Common controls use the short forms (\n, \t, \r, \b,
+/// \f); the rest use \u00XX.  Bytes >= 0x80 pass through untouched
+/// (UTF-8 is valid JSON).
+inline void json_escape_append(std::string& out, std::string_view raw) {
   for (const char c : raw) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -40,12 +40,14 @@ inline std::string json_escape(const std::string& raw) {
         }
     }
   }
-  return out;
 }
 
-/// `raw` wrapped in quotes after escaping: the full JSON string literal.
-inline std::string json_quote(const std::string& raw) {
-  return '"' + json_escape(raw) + '"';
+/// Returns `raw` escaped as by json_escape_append.
+inline std::string json_escape(const std::string& raw) {
+  std::string out;
+  out.reserve(raw.size());
+  json_escape_append(out, raw);
+  return out;
 }
 
 }  // namespace rmts

@@ -1,19 +1,23 @@
 #include "partition/assignment.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 namespace rmts {
 
 std::size_t Assignment::split_task_count() const {
-  std::map<TaskId, std::size_t> parts;
+  std::vector<TaskId> ids;
+  ids.reserve(subtask_count());
   for (const ProcessorAssignment& proc : processors) {
-    for (const Subtask& s : proc.subtasks) ++parts[s.task_id];
+    for (const Subtask& s : proc.subtasks) ids.push_back(s.task_id);
   }
-  return static_cast<std::size_t>(
-      std::count_if(parts.begin(), parts.end(),
-                    [](const auto& kv) { return kv.second >= 2; }));
+  // Sorted, each task's parts are adjacent: count the runs of length >= 2.
+  std::sort(ids.begin(), ids.end());
+  std::size_t split = 0;
+  for (std::size_t i = 1; i < ids.size(); ++i) {
+    if (ids[i] == ids[i - 1] && (i == 1 || ids[i - 1] != ids[i - 2])) ++split;
+  }
+  return split;
 }
 
 std::size_t Assignment::subtask_count() const {

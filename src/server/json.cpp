@@ -1,17 +1,30 @@
 #include "server/json.hpp"
 
-#include <cerrno>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
-#include <cstring>
+#include <iterator>
+#include <system_error>
 
 #include "common/json.hpp"
 
 namespace rmts::server {
 
+/// Storage of one parse, owned by its root.  `chars` is reserved to the
+/// input's length before parsing -- decoded strings are never longer than
+/// their source -- so string views into it stay put while it fills.
+struct JsonValue::Document {
+  std::vector<JsonValue> nodes;
+  std::string chars;
+};
+
+JsonValue::JsonValue() noexcept = default;
+JsonValue::JsonValue(JsonValue&&) noexcept = default;
+JsonValue& JsonValue::operator=(JsonValue&&) noexcept = default;
+JsonValue::~JsonValue() = default;
+
 const JsonValue* JsonValue::find(std::string_view key) const noexcept {
-  for (const auto& [name, value] : members_) {
-    if (name == key) return &value;
+  for (const JsonValue& member : members()) {
+    if (member.key() == key) return &member;
   }
   return nullptr;
 }
@@ -19,14 +32,22 @@ const JsonValue* JsonValue::find(std::string_view key) const noexcept {
 /// Recursive-descent parser over a string_view.  Depth is capped so a
 /// hostile "[[[[..." line cannot blow the stack; every error names the
 /// byte offset for the protocol's error replies.
+///
+/// Each parsed value is pushed onto `stack`.  When a container closes,
+/// its children -- the top of the stack -- move to the end of the
+/// document's `nodes` as one contiguous block and the container itself
+/// is pushed in their place, remembering where the block starts.  After
+/// the root closes, json_parse turns those block indices into pointers.
 class JsonParser {
  public:
-  JsonParser(std::string_view text, std::string& error)
-      : text_(text), error_(error) {}
+  JsonParser(std::string_view text, std::string& error,
+             std::vector<JsonValue>& stack, std::vector<JsonValue>& nodes,
+             std::string& chars)
+      : text_(text), error_(error), stack_(stack), nodes_(nodes), chars_(chars) {}
 
-  bool parse(JsonValue& out) {
+  bool parse() {
     skip_whitespace();
-    if (!parse_value(out, 0)) return false;
+    if (!parse_value(0)) return false;
     skip_whitespace();
     if (pos_ != text_.size()) return fail("trailing garbage");
     return true;
@@ -50,6 +71,15 @@ class JsonParser {
 
   [[nodiscard]] bool at_end() const { return pos_ >= text_.size(); }
   [[nodiscard]] char peek() const { return text_[pos_]; }
+  [[nodiscard]] bool at_digit() const {
+    return !at_end() && peek() >= '0' && peek() <= '9';
+  }
+
+  JsonValue& push(JsonValue::Kind kind) {
+    JsonValue& value = stack_.emplace_back();
+    value.kind_ = kind;
+    return value;
+  }
 
   bool consume_literal(std::string_view literal) {
     if (text_.substr(pos_, literal.size()) != literal) {
@@ -59,50 +89,64 @@ class JsonParser {
     return true;
   }
 
-  bool parse_value(JsonValue& out, int depth) {
+  bool parse_value(int depth) {
     if (depth > kMaxDepth) return fail("nesting too deep");
     if (at_end()) return fail("unexpected end of input");
     switch (peek()) {
-      case '{': return parse_object(out, depth);
-      case '[': return parse_array(out, depth);
-      case '"':
-        out.kind_ = JsonValue::Kind::kString;
-        return parse_string(out.string_);
+      case '{': return parse_object(depth);
+      case '[': return parse_array(depth);
+      case '"': {
+        std::string_view string;
+        if (!parse_string(string)) return false;
+        push(JsonValue::Kind::kString).string_ = string;
+        return true;
+      }
       case 't':
-        out.kind_ = JsonValue::Kind::kBool;
-        out.bool_ = true;
+        push(JsonValue::Kind::kBool).bool_ = true;
         return consume_literal("true");
       case 'f':
-        out.kind_ = JsonValue::Kind::kBool;
-        out.bool_ = false;
+        push(JsonValue::Kind::kBool);
         return consume_literal("false");
       case 'n':
-        out.kind_ = JsonValue::Kind::kNull;
+        push(JsonValue::Kind::kNull);
         return consume_literal("null");
-      default: return parse_number(out);
+      default: return parse_number();
     }
   }
 
-  bool parse_object(JsonValue& out, int depth) {
-    out.kind_ = JsonValue::Kind::kObject;
+  /// Moves the children above `base` on the stack into one block of
+  /// `nodes_` and pushes their container.
+  void close_container(JsonValue::Kind kind, std::size_t base) {
+    const auto begin = stack_.begin() + static_cast<std::ptrdiff_t>(base);
+    const std::size_t first = nodes_.size();
+    nodes_.insert(nodes_.end(), std::make_move_iterator(begin),
+                  std::make_move_iterator(stack_.end()));
+    stack_.erase(begin, stack_.end());
+    JsonValue& container = push(kind);
+    container.first_ = first;
+    container.size_ = nodes_.size() - first;
+  }
+
+  bool parse_object(int depth) {
+    const std::size_t base = stack_.size();
     ++pos_;  // '{'
     skip_whitespace();
     if (!at_end() && peek() == '}') {
       ++pos_;
+      close_container(JsonValue::Kind::kObject, base);
       return true;
     }
     while (true) {
       skip_whitespace();
       if (at_end() || peek() != '"') return fail("expected member key");
-      std::string key;
+      std::string_view key;
       if (!parse_string(key)) return false;
       skip_whitespace();
       if (at_end() || peek() != ':') return fail("expected ':'");
       ++pos_;
       skip_whitespace();
-      JsonValue value;
-      if (!parse_value(value, depth + 1)) return false;
-      out.members_.emplace_back(std::move(key), std::move(value));
+      if (!parse_value(depth + 1)) return false;
+      stack_.back().key_ = key;
       skip_whitespace();
       if (at_end()) return fail("unterminated object");
       if (peek() == ',') {
@@ -111,25 +155,25 @@ class JsonParser {
       }
       if (peek() == '}') {
         ++pos_;
+        close_container(JsonValue::Kind::kObject, base);
         return true;
       }
       return fail("expected ',' or '}'");
     }
   }
 
-  bool parse_array(JsonValue& out, int depth) {
-    out.kind_ = JsonValue::Kind::kArray;
+  bool parse_array(int depth) {
+    const std::size_t base = stack_.size();
     ++pos_;  // '['
     skip_whitespace();
     if (!at_end() && peek() == ']') {
       ++pos_;
+      close_container(JsonValue::Kind::kArray, base);
       return true;
     }
     while (true) {
       skip_whitespace();
-      JsonValue value;
-      if (!parse_value(value, depth + 1)) return false;
-      out.items_.push_back(std::move(value));
+      if (!parse_value(depth + 1)) return false;
       skip_whitespace();
       if (at_end()) return fail("unterminated array");
       if (peek() == ',') {
@@ -138,38 +182,44 @@ class JsonParser {
       }
       if (peek() == ']') {
         ++pos_;
+        close_container(JsonValue::Kind::kArray, base);
         return true;
       }
       return fail("expected ',' or ']'");
     }
   }
 
-  bool parse_string(std::string& out) {
+  /// Decodes the string at pos_ onto the end of the arena; `out` views
+  /// the decoded bytes there.
+  bool parse_string(std::string_view& out) {
     ++pos_;  // opening quote
-    out.clear();
+    const std::size_t start = chars_.size();
     while (true) {
       if (at_end()) return fail("unterminated string");
       const char c = text_[pos_++];
-      if (c == '"') return true;
+      if (c == '"') {
+        out = std::string_view(chars_).substr(start);
+        return true;
+      }
       if (static_cast<unsigned char>(c) < 0x20) {
         --pos_;
         return fail("raw control character in string");
       }
       if (c != '\\') {
-        out.push_back(c);
+        chars_.push_back(c);
         continue;
       }
       if (at_end()) return fail("unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
+        case '"': chars_.push_back('"'); break;
+        case '\\': chars_.push_back('\\'); break;
+        case '/': chars_.push_back('/'); break;
+        case 'b': chars_.push_back('\b'); break;
+        case 'f': chars_.push_back('\f'); break;
+        case 'n': chars_.push_back('\n'); break;
+        case 'r': chars_.push_back('\r'); break;
+        case 't': chars_.push_back('\t'); break;
         case 'u': {
           unsigned code = 0;
           if (!parse_hex4(code)) return false;
@@ -187,7 +237,7 @@ class JsonParser {
           } else if (code >= 0xDC00 && code <= 0xDFFF) {
             return fail("unpaired surrogate");
           }
-          append_utf8(out, code);
+          append_utf8(code);
           break;
         }
         default: --pos_; return fail("invalid escape");
@@ -215,87 +265,150 @@ class JsonParser {
     return true;
   }
 
-  static void append_utf8(std::string& out, unsigned code) {
+  void append_utf8(unsigned code) {
     if (code < 0x80) {
-      out.push_back(static_cast<char>(code));
+      chars_.push_back(static_cast<char>(code));
     } else if (code < 0x800) {
-      out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+      chars_.push_back(static_cast<char>(0xC0 | (code >> 6)));
+      chars_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
     } else if (code < 0x10000) {
-      out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+      chars_.push_back(static_cast<char>(0xE0 | (code >> 12)));
+      chars_.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+      chars_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
     } else {
-      out.push_back(static_cast<char>(0xF0 | (code >> 18)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+      chars_.push_back(static_cast<char>(0xF0 | (code >> 18)));
+      chars_.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
+      chars_.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+      chars_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
     }
   }
 
-  bool parse_number(JsonValue& out) {
+  bool parse_number() {
     const std::size_t start = pos_;
     if (!at_end() && peek() == '-') ++pos_;
     // Integer part: 0 | [1-9][0-9]*
-    if (at_end() || peek() < '0' || peek() > '9') return fail("invalid number");
+    if (!at_digit()) return fail("invalid number");
     if (peek() == '0') {
       ++pos_;
     } else {
-      while (!at_end() && peek() >= '0' && peek() <= '9') ++pos_;
+      while (at_digit()) ++pos_;
     }
     bool integral = true;
     if (!at_end() && peek() == '.') {
       integral = false;
       ++pos_;
-      if (at_end() || peek() < '0' || peek() > '9') return fail("invalid fraction");
-      while (!at_end() && peek() >= '0' && peek() <= '9') ++pos_;
+      if (!at_digit()) return fail("invalid fraction");
+      while (at_digit()) ++pos_;
     }
     if (!at_end() && (peek() == 'e' || peek() == 'E')) {
       integral = false;
       ++pos_;
       if (!at_end() && (peek() == '+' || peek() == '-')) ++pos_;
-      if (at_end() || peek() < '0' || peek() > '9') return fail("invalid exponent");
-      while (!at_end() && peek() >= '0' && peek() <= '9') ++pos_;
+      if (!at_digit()) return fail("invalid exponent");
+      while (at_digit()) ++pos_;
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    out.kind_ = JsonValue::Kind::kNumber;
-    errno = 0;
-    out.number_ = std::strtod(token.c_str(), nullptr);
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    JsonValue& value = push(JsonValue::Kind::kNumber);
     if (integral) {
-      errno = 0;
-      char* end = nullptr;
-      const long long parsed = std::strtoll(token.c_str(), &end, 10);
-      if (errno != ERANGE && end == token.c_str() + token.size()) {
-        out.has_int_ = true;
-        out.int_ = parsed;
+      std::int64_t parsed = 0;
+      if (std::from_chars(first, last, parsed).ec == std::errc{}) {
+        // An int64 converts to the nearest double exactly as decimal
+        // parsing of its digits rounds; only "-0" needs its sign kept.
+        value.has_int_ = true;
+        value.int_ = parsed;
+        value.number_ = parsed == 0 && *first == '-' ? -0.0
+                                                     : static_cast<double>(parsed);
+        return true;
       }
+    }
+    if (std::from_chars(first, last, value.number_).ec ==
+        std::errc::result_out_of_range) {
+      // from_chars leaves the value unset on overflow and underflow;
+      // strtod's answer there is +-HUGE_VAL or a signed zero.
+      value.number_ = std::strtod(std::string(first, last).c_str(), nullptr);
     }
     return true;
   }
 
   std::string_view text_;
   std::string& error_;
+  std::vector<JsonValue>& stack_;
+  std::vector<JsonValue>& nodes_;
+  std::string& chars_;
   std::size_t pos_{0};
 };
 
 bool json_parse(std::string_view text, JsonValue& out, std::string& error) {
+  // Values of still-open containers, reused by every parse on this
+  // thread; one deeply nested or very wide line must not pin its memory,
+  // so a large stack is dropped afterwards.
+  static constexpr std::size_t kKeptStack = 4096;
+  thread_local std::vector<JsonValue> stack;
+  stack.clear();
+
   out = JsonValue();
-  return JsonParser(text, error).parse(out);
+  auto document = std::make_unique<JsonValue::Document>();
+  document->chars.reserve(text.size());
+  // A protocol line spends 4-6 bytes per value; growing past this is
+  // safe, as nodes refer to their children by index until linked below.
+  document->nodes.reserve(text.size() / 4);
+  const bool ok =
+      JsonParser(text, error, stack, document->nodes, document->chars).parse();
+  if (ok) {
+    out = std::move(stack.back());
+    const auto link = [&](JsonValue& value) {
+      if (value.is_array() || value.is_object()) {
+        value.children_ = document->nodes.data() + value.first_;
+      }
+    };
+    for (JsonValue& node : document->nodes) link(node);
+    link(out);
+    out.document_ = std::move(document);
+  }
+  if (stack.capacity() > kKeptStack) stack = std::vector<JsonValue>();
+  return ok;
 }
 
-std::string json_number(double value) {
+namespace {
+
+/// printf("%.<precision>g", value) into `buf`; returns the end.
+char* format_general(char (&buf)[32], double value, int precision) {
+  return std::to_chars(buf, buf + sizeof buf, value, std::chars_format::general,
+                       precision)
+      .ptr;
+}
+
+/// json_number appended to `out` without a temporary string.
+void append_number(std::string& out, double value) {
   if (!(value == value) || value > 1.7976931348623157e308 ||
       value < -1.7976931348623157e308) {
-    return "null";
+    out += "null";
+    return;
   }
+  // "%g" when it reads back exactly; "%.17g" always does.
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  // Shorten when a 9-digit rendering round-trips visually; %.17g is always
-  // correct, just noisy.  Keep it simple: prefer %g when it re-parses.
-  char short_buf[32];
-  std::snprintf(short_buf, sizeof short_buf, "%g", value);
-  if (std::strtod(short_buf, nullptr) == value) return short_buf;
-  return buf;
+  char* end = format_general(buf, value, 6);
+  double parsed = 0.0;
+  if (std::from_chars(buf, end, parsed).ec != std::errc{} || parsed != value) {
+    end = format_general(buf, value, 17);
+  }
+  out.append(buf, end);
+}
+
+template <typename Integer>
+void append_integer(std::string& out, Integer value) {
+  char buf[24];
+  const std::to_chars_result end = std::to_chars(buf, buf + sizeof buf, value);
+  out.append(buf, end.ptr);
+}
+
+}  // namespace
+
+std::string json_number(double value) {
+  std::string out;
+  append_number(out, value);
+  return out;
 }
 
 void JsonWriter::separate() {
@@ -323,14 +436,17 @@ void JsonWriter::close(char bracket) {
 void JsonWriter::key(std::string_view name) {
   if (wrote_value_.back()) out_.push_back(',');
   wrote_value_.back() = true;
-  out_ += json_quote(std::string(name));
-  out_.push_back(':');
+  out_.push_back('"');
+  json_escape_append(out_, name);
+  out_ += "\":";
   after_key_ = true;
 }
 
 void JsonWriter::value(std::string_view text) {
   separate();
-  out_ += json_quote(std::string(text));
+  out_.push_back('"');
+  json_escape_append(out_, text);
+  out_.push_back('"');
 }
 
 void JsonWriter::value(bool flag) {
@@ -340,17 +456,17 @@ void JsonWriter::value(bool flag) {
 
 void JsonWriter::value(double number) {
   separate();
-  out_ += json_number(number);
+  append_number(out_, number);
 }
 
 void JsonWriter::value(std::int64_t number) {
   separate();
-  out_ += std::to_string(number);
+  append_integer(out_, number);
 }
 
 void JsonWriter::value(std::uint64_t number) {
   separate();
-  out_ += std::to_string(number);
+  append_integer(out_, number);
 }
 
 void JsonWriter::null() {

@@ -85,7 +85,7 @@ std::string optional_string(const JsonValue& request, std::string_view key,
   if (!value->is_string()) {
     reject("field '" + std::string(key) + "' must be a string");
   }
-  return value->as_string();
+  return std::string(value->as_string());
 }
 
 TaskSet parse_tasks(const JsonValue& request, std::size_t max_tasks) {
@@ -949,7 +949,7 @@ HandleOutcome Router::handle(std::string_view line) const {
     return {error_reply("missing string field 'op'"), Endpoint::kMalformed,
             true};
   }
-  const std::string& op = op_field->as_string();
+  const std::string_view op = op_field->as_string();
   const JsonValue* id = request.find("id");
 
   Endpoint endpoint;
@@ -972,7 +972,8 @@ HandleOutcome Router::handle(std::string_view line) const {
   } else if (op == "metrics") {
     endpoint = Endpoint::kMetrics;
   } else {
-    return {error_reply("unknown op '" + op + "'"), Endpoint::kMalformed, true};
+    return {error_reply("unknown op '" + std::string(op) + "'"),
+            Endpoint::kMalformed, true};
   }
 
   const auto fail = [&](const std::string& message) {

@@ -282,7 +282,7 @@ TEST(LiveMetrics, MetricsOpAndHttpScrapeSurviveConcurrentLoad) {
     ASSERT_NE(reply.find("id"), nullptr);
     EXPECT_EQ(reply.find("id")->as_int(), 7);
     ASSERT_NE(reply.find("text"), nullptr);
-    const std::string text = reply.find("text")->as_string();
+    const std::string text(reply.find("text")->as_string());
     expect_valid_exposition(text);
     EXPECT_NE(text.find("rmts_requests_total{"), std::string::npos);
     EXPECT_NE(text.find("rmts_workers 2"), std::string::npos);

@@ -540,7 +540,7 @@ TEST(OverloadLive, StatsExposesBudgetsAndMetricsExportsThem) {
 
   const JsonValue metrics = parse_ok(client.request(make_metrics_request()));
   ASSERT_TRUE(metrics.find("ok")->as_bool());
-  const std::string& text = metrics.find("text")->as_string();
+  const std::string_view text = metrics.find("text")->as_string();
   for (const char* needle :
        {"rmts_class_budget{class=\"admit\"}", "rmts_class_shed_total",
         "rmts_class_expired_total", "rmts_requests_expired_total",

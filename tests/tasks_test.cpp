@@ -2,6 +2,9 @@
 // accounting, harmonicity, scaling, and subtask construction.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "tasks/subtask.hpp"
 #include "tasks/task_set.hpp"
@@ -49,6 +52,42 @@ TEST(TaskSet, RejectsOverUtilizedTask) {
 
 TEST(TaskSet, RejectsDuplicateIds) {
   EXPECT_THROW(TaskSet({Task{1, 10, 7}, Task{1, 20, 7}}), InvalidTaskError);
+}
+
+/// The message TaskSet's validation throws for `tasks`, or "" if none.
+std::string validation_error(const std::vector<Task>& tasks) {
+  try {
+    const TaskSet set(tasks);
+  } catch (const InvalidTaskError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+// Duplicates far apart in period order and in input order, among ids in
+// no particular order: the message names the id an in-order scan meets a
+// second time first, and an invalid field before that position wins.
+TEST(TaskSet, RejectsDuplicateIdsFarApartInPeriodOrder) {
+  std::vector<Task> tasks;
+  for (TaskId i = 0; i < 64; ++i) {
+    const Time period = 2'000 + 1'000 * static_cast<Time>((i * 29) % 64);
+    tasks.push_back(Task{1, period, (i * 37) % 64});
+  }
+  ASSERT_EQ(validation_error(tasks), "");
+  tasks[3].period = 1'000;       // first in period order
+  tasks[50].period = 1'000'000;  // last in period order
+  tasks[50].id = tasks[3].id;
+  tasks[60].id = tasks[1].id;  // repeats later in input order
+  EXPECT_EQ(validation_error(tasks), "duplicate task id " + std::to_string(tasks[3].id));
+  tasks[55].wcet = 0;  // after the first repeat: not reached
+  EXPECT_EQ(validation_error(tasks), "duplicate task id " + std::to_string(tasks[3].id));
+  tasks[20].wcet = 0;  // before it: reported instead
+  EXPECT_EQ(validation_error(tasks),
+            "task " + std::to_string(tasks[20].id) + ": wcet must be positive");
+  tasks[20].wcet = 1;
+  tasks[50].wcet = 2'000'000;  // at the repeat itself: the field check comes first
+  EXPECT_EQ(validation_error(tasks),
+            "task " + std::to_string(tasks[50].id) + ": wcet exceeds period (U > 1)");
 }
 
 TEST(TaskSet, UtilizationAggregates) {

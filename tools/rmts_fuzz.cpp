@@ -26,7 +26,10 @@
 // the in-process LineDecoder + Router pipeline (no sockets), asserting
 // that nothing crashes, decoder memory stays under its cap, and every
 // reply -- including those for garbage -- is a well-formed one-line JSON
-// object carrying "ok" and, on failure, a non-empty "error".
+// object carrying "ok" and, on failure, a non-empty "error".  Every line
+// and every reply is also parsed by the tree-of-values oracle
+// (tests/oracle/json_tree.hpp), which must agree with the shipped parser
+// on the verdict, the error text and every parsed value.
 //
 // The `churn` mode drives random admit/depart/rebalance interleavings
 // through an online PartitionSession (src/online) and checks, after every
@@ -73,6 +76,7 @@
 #include "common/rng.hpp"
 #include "io/taskset_io.hpp"
 #include "online/session.hpp"
+#include "oracle/json_differential.hpp"
 #include "oracle/max_split_points.hpp"
 #include "partition/baselines.hpp"
 #include "partition/edf_split.hpp"
@@ -268,6 +272,15 @@ std::uint64_t proto_fuzz(double seconds, std::uint64_t seed) {
         const server::HandleOutcome outcome =
             line.oversized ? router.oversized_line() : router.handle(line.text);
         if (line.oversized) ++oversized;
+
+        // The shipped parser must read every line and reply exactly as
+        // the tree-of-values oracle does.
+        for (const std::string& text : {line.text, outcome.reply}) {
+          const std::string mismatch = oracle::json_parse_mismatch(text);
+          if (!mismatch.empty()) {
+            fail("JSON parser disagrees with the oracle: " + mismatch, text);
+          }
+        }
 
         // Every reply, for any input, must be one well-formed JSON object
         // with a bool "ok"; failures must carry a non-empty "error".
