@@ -4,6 +4,7 @@
 // hyperperiods.  This is the repo's ground-truth soundness gate.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <map>
 #include <memory>
 
@@ -216,6 +217,34 @@ TEST(Integration, AnalyticalResponseBoundDominatesObservation) {
 
 // Parameterized sweep: every FP partitioner's accepted assignments are
 // simulation-clean across a common randomized workload population.
+//
+// gtest lists each case of a parameterized suite with the parameter's raw
+// bytes appended, and those bytes open with the label pointer.  Address
+// randomization moves whole pages, so that pointer's low byte is fixed for
+// a given binary, but it still shifts whenever code linked into the test
+// resizes the string pool.  The labels therefore sit at fixed offsets in a
+// 256-aligned block: the low byte, and with it the start of each listed
+// case, is the same in every build.  The offsets are the ones the labels
+// had when the case list was first recorded.
+struct alignas(256) AlgorithmLabels {
+  char lead[0x15];
+  char rmts_light[11];
+  char rmts_light_ff[14];
+  char rmts_light_coarse[18];
+  char rmts_ll[8];
+  char rmts_hc[8];
+  char prm_bfd[8];
+  char prm_wf_rm[10];
+};
+constexpr AlgorithmLabels kAlgorithmLabels{
+    {},        "rmts_light", "rmts_light_ff", "rmts_light_coarse",
+    "rmts_ll", "rmts_hc",    "prm_bfd",       "prm_wf_rm"};
+static_assert(offsetof(AlgorithmLabels, rmts_light) == 0x15);
+static_assert(offsetof(AlgorithmLabels, rmts_ll) == 0x40);
+static_assert(offsetof(AlgorithmLabels, rmts_hc) == 0x48);
+static_assert(offsetof(AlgorithmLabels, prm_bfd) == 0x50);
+static_assert(offsetof(AlgorithmLabels, prm_wf_rm) == 0x58);
+
 struct AlgorithmCase {
   const char* label;
   std::shared_ptr<const Partitioner> (*make)();
@@ -270,13 +299,15 @@ TEST_P(FpSoundnessTest, AcceptedImpliesSimulationClean) {
 
 INSTANTIATE_TEST_SUITE_P(
     Algorithms, FpSoundnessTest,
-    ::testing::Values(AlgorithmCase{"rmts_light", &make_light, 0.8},
-                      AlgorithmCase{"rmts_light_ff", &make_light_ff, 0.8},
-                      AlgorithmCase{"rmts_light_coarse", &make_light_coarse, 0.8},
-                      AlgorithmCase{"rmts_ll", &make_rmts_ll, 0.85},
-                      AlgorithmCase{"rmts_hc", &make_rmts_hc, 0.85},
-                      AlgorithmCase{"prm_bfd", &make_prm_bf, 0.7},
-                      AlgorithmCase{"prm_wf_rm", &make_prm_wf_rm, 0.7}),
+    ::testing::Values(
+        AlgorithmCase{kAlgorithmLabels.rmts_light, &make_light, 0.8},
+        AlgorithmCase{kAlgorithmLabels.rmts_light_ff, &make_light_ff, 0.8},
+        AlgorithmCase{kAlgorithmLabels.rmts_light_coarse, &make_light_coarse,
+                      0.8},
+        AlgorithmCase{kAlgorithmLabels.rmts_ll, &make_rmts_ll, 0.85},
+        AlgorithmCase{kAlgorithmLabels.rmts_hc, &make_rmts_hc, 0.85},
+        AlgorithmCase{kAlgorithmLabels.prm_bfd, &make_prm_bf, 0.7},
+        AlgorithmCase{kAlgorithmLabels.prm_wf_rm, &make_prm_wf_rm, 0.7}),
     [](const ::testing::TestParamInfo<AlgorithmCase>& param_info) {
       return param_info.param.label;
     });

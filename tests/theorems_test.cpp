@@ -8,6 +8,7 @@
 // With periods >= 10^3 ticks both effects are < 0.1% per processor.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <memory>
 
 #include "bounds/best_of.hpp"
@@ -27,6 +28,23 @@ namespace {
 constexpr double kMargin = 0.01;
 
 // ---- Theorem 8: RM-TS/light achieves any D-PUB for light task sets -----
+
+// Case labels at fixed offsets in a 256-aligned block, so the start of each
+// case's listed name (which gtest follows with the parameter's raw bytes,
+// label pointer first) does not move between builds; see FpSoundnessTest
+// in integration_test.cpp.
+struct alignas(256) Theorem8Labels {
+  char lead[1];
+  char harmonic[9];
+  char chains2[8];
+  char chains3[8];
+  char log_uniform[12];
+};
+constexpr Theorem8Labels kTheorem8Labels{{}, "harmonic", "chains2", "chains3",
+                                         "log_uniform"};
+static_assert(offsetof(Theorem8Labels, harmonic) == 0x01);
+static_assert(offsetof(Theorem8Labels, chains2) == 0x0A);
+static_assert(offsetof(Theorem8Labels, chains3) == 0x12);
 
 struct Theorem8Case {
   const char* label;
@@ -81,10 +99,11 @@ TEST_P(Theorem8Test, LightSetsWithinBoundAlwaysAccepted) {
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, Theorem8Test,
-    ::testing::Values(Theorem8Case{"log_uniform", PeriodModel::kLogUniform, 0},
-                      Theorem8Case{"harmonic", PeriodModel::kHarmonic, 0},
-                      Theorem8Case{"chains2", PeriodModel::kHarmonicChains, 2},
-                      Theorem8Case{"chains3", PeriodModel::kHarmonicChains, 3}),
+    ::testing::Values(
+        Theorem8Case{kTheorem8Labels.log_uniform, PeriodModel::kLogUniform, 0},
+        Theorem8Case{kTheorem8Labels.harmonic, PeriodModel::kHarmonic, 0},
+        Theorem8Case{kTheorem8Labels.chains2, PeriodModel::kHarmonicChains, 2},
+        Theorem8Case{kTheorem8Labels.chains3, PeriodModel::kHarmonicChains, 3}),
     [](const ::testing::TestParamInfo<Theorem8Case>& param_info) {
       return param_info.param.label;
     });
