@@ -2,8 +2,9 @@
 //
 // Quantifies what the paper asserts qualitatively: exact RTA and MaxSplit
 // are pseudo-polynomial "but in practice very efficient" (Section IV-A),
-// and prices the shipped binary-search MaxSplit against the
-// scheduling-point method of [22] (the test-only oracle).  Also scales full partitioning runs with N and M -- the cost a design
+// and prices the shipped per-constraint MaxSplit against the
+// scheduling-point method of [22] (the test-only oracle).  Also scales
+// full partitioning runs with N and M -- the cost a design
 // loop pays per candidate configuration -- and exercises the two
 // performance layers behind every experiment binary: the ProcessorState
 // admission cache (BM_AdmissionScan, BM_Partition, BM_MaxSplit) and the
@@ -74,14 +75,15 @@ void BM_Rta_ResponseTime(benchmark::State& state) {
 }
 BENCHMARK(BM_Rta_ResponseTime)->Arg(2)->Arg(8)->Arg(32);
 
-/// MaxSplit as partitioning calls it.  points:0 is the shipped binary
-/// search over fits() against the processor's warm response cache.
-/// points:1 is the scheduling-point method of [22], which builds every
-/// hosted subtask's testing set on each call: partitioning seals a
+/// MaxSplit as partitioning calls it.  points:0 is the shipped
+/// per-constraint search, seeded from the processor's warm response
+/// cache.  points:1 is the scheduling-point method of [22], which builds
+/// every hosted subtask's testing set on each call: partitioning seals a
 /// processor after its one split, so a per-processor testing-set cache
-/// would never be hit twice.  The binary search costs ~log2(C) probes
-/// whatever the periods; the testing sets grow with D/T, so short
-/// periods (the log-uniform family) are where the oracle pays.
+/// would never be hit twice.  The shipped search costs one analysis per
+/// constraint plus ~log2(C) for the binding ones whatever the periods;
+/// the testing sets grow with D/T, so short periods (the log-uniform
+/// family) are where the oracle pays.
 void max_split(benchmark::State& state, bool log_uniform) {
   const auto count = static_cast<std::size_t>(state.range(0));
   const bool points = state.range(1) != 0;
@@ -103,9 +105,9 @@ BENCHMARK(BM_MaxSplitLogUniform)
     ->ArgNames({"hosted", "points"});
 
 /// Worst-fit style admission scan: many fits() probes against a fixed
-/// hosted set, the hot loop of the P-RM baselines' pick_bin and of the
-/// MaxSplit binary search.  The admission cache turns each probe from a
-/// full-processor re-analysis into a seeded incremental one.
+/// hosted set, the hot loop of the P-RM baselines' pick_bin.  The
+/// admission cache turns each probe from a full-processor re-analysis
+/// into a seeded incremental one.
 void BM_AdmissionScan(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
   const ProcessorState processor = hosted_processor(count);

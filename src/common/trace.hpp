@@ -73,7 +73,7 @@ inline constexpr std::size_t kStageCount = 17;
 enum class Counter : std::uint8_t {
   kAdmissionCacheHit,      ///< memoized response served without re-analysis
   kAdmissionCacheMiss,     ///< invalidated/missing entry recomputed
-  kAdmissionSeededRta,     ///< fits() re-analyses seeded from the cache
+  kAdmissionSeededRta,     ///< seeded re-analyses by fits() and MaxSplit
   kAdmissionRtaIterations, ///< fixed-point iterations across all RTA calls
   kPoolTasksPosted,
   kPoolTasksStarted,  ///< posted - started = current queue depth
@@ -81,7 +81,7 @@ enum class Counter : std::uint8_t {
   kSimRuns,
   kSimEvents,  ///< event-loop iterations across all simulation runs
   kMaxSplitCalls,   ///< max_admissible_wcet invocations (split attempts)
-  kMaxSplitProbes,  ///< fits() probes issued by MaxSplit's binary search
+  kMaxSplitProbes,  ///< MaxSplit's single-constraint analyses
 };
 inline constexpr std::size_t kCounterCount = 11;
 

@@ -24,9 +24,13 @@ namespace rmts {
 /// After a remove() the direction flips -- the interferer set SHRANK, a
 /// stale value is an upper bound and a cached miss may now fit -- so
 /// remove() re-seeds the suffix from each subtask's own wcet instead
-/// (the unconditionally valid lower bound).  This is what lets the
-/// worst-fit candidate scans of RM-TS(/light), SPA1/2 and the P-RM
-/// baselines, the MaxSplit binary search, and the online
+/// (the unconditionally valid lower bound).
+/// The accepted probe is committed, not re-derived: a passing fits()
+/// computes every lower-priority subtask's response with the candidate
+/// added, and add() of exactly that candidate inserts those responses as
+/// exact entries instead of invalidating the suffix.
+/// This is what lets the worst-fit candidate scans of RM-TS(/light),
+/// SPA1/2 and the P-RM baselines, MaxSplit, and the online
 /// PartitionSession's churn loop stop re-running full processor RTA from
 /// zero on every fits() probe.
 ///
@@ -64,8 +68,11 @@ class ProcessorState {
   [[nodiscard]] bool empty() const noexcept { return subtasks_.empty(); }
 
   /// Inserts `subtask` at its priority position.  Caller is responsible for
-  /// having verified schedulability (see fits()).  Invalidates the cached
-  /// responses of every lower-priority hosted subtask.
+  /// having verified schedulability (see fits()).  When `subtask` is the
+  /// candidate of the last fits() probe, that probe passed, and nothing
+  /// changed the hosted set since, its responses become exact cache
+  /// entries; any other add() invalidates the cached responses of every
+  /// lower-priority hosted subtask.
   void add(const Subtask& subtask);
 
   /// Removes the hosted subtask at `index` (position in subtasks()).  The
@@ -88,7 +95,8 @@ class ProcessorState {
   /// lower-priority subtasks are re-analyzed; higher-priority response
   /// times cannot change, and each re-analysis is seeded with the memoized
   /// candidate-free response.  Evaluated through the SoA kernel
-  /// (rta/rta_kernel.hpp), bit-identical to the scalar path.
+  /// (rta/rta_kernel.hpp), bit-identical to the scalar path.  A passing
+  /// probe is kept for add() to commit (see add()).
   [[nodiscard]] bool fits(const Subtask& candidate) const;
 
   /// Batched admission: one verdict per candidate against the current
@@ -97,9 +105,19 @@ class ProcessorState {
   /// flushing are set up once for the whole probe group.  This is the
   /// shape of the worst-fit candidate scan, the robustness bisection and
   /// the server's admit_batch op.  `verdicts.size()` must equal
-  /// `candidates.size()`.
+  /// `candidates.size()`.  Keeps no probe for add() to commit.
   void fits_batch(std::span<const Subtask> candidates,
                   std::span<KernelFit> verdicts) const;
+
+  /// The kernel's view of the hosted set for single-constraint analyses
+  /// against it (MaxSplit): the SoA mirror of subtasks() and the exact
+  /// candidate-free response of every hosted subtask, kTimeInfinity
+  /// marking a known miss.  Computed on demand, like fits() warms them.
+  struct KernelView {
+    const RtaSoa& soa;
+    std::span<const Time> responses;
+  };
+  [[nodiscard]] KernelView kernel_view() const;
 
   /// Worst-case response time of the hosted subtask at `index` (position in
   /// subtasks()).  Used to fix the synthetic deadline of a split remainder
@@ -116,36 +134,45 @@ class ProcessorState {
   /// measurably slower than the whole cache is worth.
   struct Cache {
     /// response[i]: exact candidate-free response time of subtasks_[i]
-    /// when response_valid[i], else a stale lower bound from an earlier
+    /// for i < warm_prefix, else a stale lower bound from an earlier
     /// (subset) hosted set.  kTimeInfinity marks a known deadline miss
     /// (possible when a caller adds past a non-RTA admission test, as SPA
     /// does).
     std::vector<Time> response;
-    std::vector<char> response_valid;
-    /// Entries [0, warm_prefix) are all valid (exact).  add() only ever
-    /// invalidates suffixes, so one marker is enough for warm_responses()
-    /// to skip its scan entirely in the steady probe-heavy state.
+    /// Entries [0, warm_prefix) are exact.  add() and remove() only ever
+    /// invalidate suffixes and warm() recomputes in order, so one marker
+    /// holds the whole validity state.
     std::size_t warm_prefix{0};
+    /// The kernel's scratch for candidate-aware responses, as long as
+    /// response.  After a passing fits() probe of `probed` (and until the
+    /// next add(), remove() or probe), probe[pos, size) holds the
+    /// responses of the hosted subtasks from the candidate's insert
+    /// position on with the candidate added, and probed_response the
+    /// candidate's own; add() of exactly `probed` commits them.
+    std::vector<Time> probe;
+    Subtask probed;
+    Time probed_response{0};
+    bool has_probe{false};
     /// Structure-of-arrays mirror of subtasks_ for the RTA kernel,
-    /// maintained incrementally by add() once live (and rebuilt whenever
-    /// it falls out of step, e.g. after copy-assignment dropped it).
+    /// maintained incrementally by add() and remove().
     RtaSoa soa;
   };
 
-  /// Makes cache_->response[index] exact for the current hosted set.
-  void ensure_response(std::size_t index) const;
-
-  /// Makes every cached response exact (one front-to-back pass over the
-  /// invalidated suffix, each entry seeded by its own stale lower bound).
-  /// fits()/fits_batch() warm before probing: exact seeds let the kernel
-  /// derive each seeded re-analysis' first iterate in O(1) (the
-  /// fixed-point identity in rta_kernel.cpp), saving a full time-demand
-  /// pass per hosted subtask per probe.
-  void warm_responses(Cache& cache) const;
+  /// Makes cache.response[0, end) exact: one front-to-back pass over the
+  /// invalid entries in [warm_prefix, end), each seeded by its own stale
+  /// lower bound.  Requires warm_prefix < end.  fits()/fits_batch() warm every entry before probing:
+  /// exact seeds let the kernel derive each seeded re-analysis' first
+  /// iterate in O(1) (the fixed-point identity in rta_kernel.cpp), saving
+  /// a full time-demand pass per hosted subtask per probe.
+  void warm(Cache& cache, std::size_t end) const;
 
   /// Allocates and seeds the cache on the first RTA query (no-op once
-  /// live).  Returns the live cache.
+  /// live; add() and remove() keep a live cache in step).  Returns it.
   Cache& materialize_cache() const;
+
+  /// The cache with every response exact: the state every kernel query
+  /// starts from.
+  Cache& warm_cache() const;
 
   std::vector<Subtask> subtasks_;
   mutable std::unique_ptr<Cache> cache_;

@@ -253,7 +253,8 @@ RtaOutcome kernel_response_time_with(std::span<const Subtask> subtasks,
 
 KernelFit kernel_fits_generic(std::span<const Subtask> subtasks,
                               const RtaSoa& soa, std::span<const Time> seeds,
-                              const Subtask& candidate, std::size_t pos,
+                              const Subtask& candidate,
+                              std::span<Time> responses, std::size_t pos,
                               rta_kernel_detail::DivMagic candidate_magic,
                               bool boost) {
   assert(seeds.size() == subtasks.size());
@@ -287,6 +288,7 @@ KernelFit kernel_fits_generic(std::span<const Subtask> subtasks,
                         subtasks[i].deadline, &candidate, candidate_magic, seed);
     verdict.iterations += static_cast<std::uint64_t>(seeded.iterations);
     if (!seeded.schedulable) return verdict;
+    responses[i] = seeded.response;
   }
   verdict.fits = true;
   verdict.response = own.response;
@@ -296,10 +298,12 @@ KernelFit kernel_fits_generic(std::span<const Subtask> subtasks,
 void rta_batch_fits(std::span<const Subtask> subtasks, const RtaSoa& soa,
                     std::span<const Time> seeds,
                     std::span<const Subtask> candidates,
-                    std::span<KernelFit> verdicts, bool seeds_exact) {
+                    std::span<KernelFit> verdicts, std::span<Time> responses,
+                    bool seeds_exact) {
   assert(verdicts.size() == candidates.size());
   for (std::size_t c = 0; c < candidates.size(); ++c) {
-    verdicts[c] = kernel_fits(subtasks, soa, seeds, candidates[c], seeds_exact);
+    verdicts[c] = kernel_fits(subtasks, soa, seeds, candidates[c], responses,
+                              seeds_exact);
   }
 }
 

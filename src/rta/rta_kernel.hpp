@@ -269,12 +269,30 @@ struct KernelFit {
     std::span<const Subtask> subtasks, const RtaSoa& soa, std::size_t prefix,
     Time wcet, Time deadline, const Subtask& extra, Time seed);
 
+/// Out-of-line generic path of kernel_fits: the candidate under its
+/// prefix via the checked-or-kernel twin, then the seeded scan with
+/// per-call guards.  `pos`, `candidate_magic` and `boost` are the values
+/// kernel_fits already computed.  Callers use kernel_fits.
+[[nodiscard]] KernelFit kernel_fits_generic(
+    std::span<const Subtask> subtasks, const RtaSoa& soa,
+    std::span<const Time> seeds, const Subtask& candidate,
+    std::span<Time> responses, std::size_t pos,
+    rta_kernel_detail::DivMagic candidate_magic, bool boost);
+
 /// One admission probe with the documented ProcessorState::fits semantics:
 /// the candidate under its higher-priority prefix, then every
 /// lower-priority hosted subtask with the candidate as an extra
 /// interferer, seeded from `seeds` (the memoized candidate-free responses;
 /// stale lower bounds are fine, kTimeInfinity marks a known miss and
 /// rejects immediately).  `seeds` is parallel to `subtasks`.
+///
+/// Each hosted subtask i the probe re-analyses and finds schedulable gets
+/// its exact candidate-aware response written to `responses[i]` (parallel
+/// to `subtasks`, at least as long): when the probe fits, entries from the
+/// candidate's insert position to the end are exactly the responses of
+/// the hosted set with the candidate added, so ProcessorState::add() of
+/// that candidate can keep them instead of re-deriving them.  A rejected
+/// probe leaves an unspecified prefix of that range overwritten.
 ///
 /// With `seeds_exact`, every non-infinite seed is promised to be the EXACT
 /// candidate-free fixed point of its subtask (ProcessorState warms its
@@ -283,23 +301,16 @@ struct KernelFit {
 /// s + ceil(s/T_c)*C_c, no time-demand pass needed.  Verdicts and
 /// reported responses are identical either way; only iteration counts
 /// shrink.
-/// Out-of-line generic path of kernel_fits: the candidate under its
-/// prefix via the checked-or-kernel twin, then the seeded scan with
-/// per-call guards.  `pos`, `candidate_magic` and `boost` are the values
-/// kernel_fits already computed.  Callers use kernel_fits.
-[[nodiscard]] KernelFit kernel_fits_generic(
-    std::span<const Subtask> subtasks, const RtaSoa& soa,
-    std::span<const Time> seeds, const Subtask& candidate, std::size_t pos,
-    rta_kernel_detail::DivMagic candidate_magic, bool boost);
-
 [[nodiscard]] inline KernelFit kernel_fits(std::span<const Subtask> subtasks,
                                            const RtaSoa& soa,
                                            std::span<const Time> seeds,
                                            const Subtask& candidate,
+                                           std::span<Time> responses,
                                            bool seeds_exact = false) {
   namespace detail = rta_kernel_detail;
   assert(seeds.size() == subtasks.size());
   assert(soa.size() == subtasks.size());
+  assert(responses.size() >= subtasks.size());
   const std::size_t pos = detail::insert_position(subtasks, candidate);
   const std::size_t n = subtasks.size();
 
@@ -395,24 +406,27 @@ struct KernelFit {
       }
       verdict.iterations += iterations;
       if (!ok) return verdict;
+      responses[i] = r;
     }
     verdict.fits = true;
     verdict.response = own_response;
     return verdict;
   }
 
-  return kernel_fits_generic(subtasks, soa, seeds, candidate, pos,
+  return kernel_fits_generic(subtasks, soa, seeds, candidate, responses, pos,
                              candidate_magic, boost);
 }
 
 /// Batched admission: one verdict per candidate against the same hosted
 /// set, equivalent to calling kernel_fits per candidate but amortizing
 /// the SoA setup and dispatch.  `verdicts.size()` must equal
-/// `candidates.size()`.
+/// `candidates.size()`; `responses` is every probe's scratch, so after
+/// the call it holds no one candidate's responses.
 void rta_batch_fits(std::span<const Subtask> subtasks, const RtaSoa& soa,
                     std::span<const Time> seeds,
                     std::span<const Subtask> candidates,
-                    std::span<KernelFit> verdicts, bool seeds_exact = false);
+                    std::span<KernelFit> verdicts, std::span<Time> responses,
+                    bool seeds_exact = false);
 
 /// Kernel twin of analyze_processor: builds a scratch SoA (thread-local,
 /// allocation-free after warm-up) and evaluates every prefix through the

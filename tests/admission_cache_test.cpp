@@ -12,6 +12,7 @@
 #include "partition/max_split.hpp"
 #include "partition/processor_state.hpp"
 #include "rta/rta.hpp"
+#include "rta/rta_kernel.hpp"
 
 namespace rmts {
 namespace {
@@ -159,9 +160,9 @@ TEST(AdmissionCache, InterleavedAddRemoveMatchesFromScratchAnalysis) {
             << "seed " << seed << " step " << step << " index " << i;
       }
 
-      // MaxSplit's binary search probes through the re-seeded cache, so
-      // it must keep matching the cache-free scheduling-point oracle
-      // across removals too.
+      // MaxSplit seeds its analyses from the re-seeded cache, so it must
+      // keep matching the cache-free scheduling-point oracle across
+      // removals too.
       if (step % 8 == 7) {
         Subtask prototype = random_subtask(rng, 0, true);
         EXPECT_EQ(max_admissible_wcet(processor, prototype),
@@ -218,6 +219,86 @@ TEST(AdmissionCache, RemovalRestoresSchedulabilityOfForcedHosts) {
   const Subtask probe{0, 202, 0, 25, 100, 100, SubtaskKind::kWhole};
   EXPECT_EQ(processor.fits(probe), oracle_fits(processor, probe));
   EXPECT_TRUE(processor.fits(probe));
+}
+
+/// Every cached response equals a from-scratch kernel_analyze of the
+/// hosted set.
+void expect_exact_cache(const ProcessorState& processor, const char* sequence,
+                        std::uint64_t seed) {
+  const ProcessorRta fresh = kernel_analyze(processor.subtasks());
+  ASSERT_TRUE(fresh.schedulable) << sequence << ", seed " << seed;
+  for (std::size_t i = 0; i < processor.subtasks().size(); ++i) {
+    ASSERT_EQ(processor.response_time_of(i), fresh.response[i])
+        << sequence << ", seed " << seed << ", index " << i;
+  }
+}
+
+TEST(AdmissionCache, AddCommitsOnlyTheLastPassingProbeOnTheSameSet) {
+  // A passing fits() keeps its candidate-aware responses for add() of
+  // exactly that candidate.  Every other path must drop them: an add() of
+  // another subtask, a later failing probe (which overwrites part of the
+  // scratch), a remove() and a copy-assignment (both change the hosted
+  // set under the record).  Hosted subtasks take even ranks; A takes an
+  // odd rank, C the top one.
+  for (std::uint64_t seed = 500; seed < 580; ++seed) {
+    Rng rng(seed);
+    ProcessorState base;
+    for (std::size_t rank = 2; rank <= 24; rank += 2) {
+      const Subtask incoming = random_subtask(rng, rank, false);
+      if (oracle_fits(base, incoming)) base.add(incoming);
+    }
+    const std::size_t hosted = base.subtasks().size();
+    if (hosted == 0) continue;
+    Subtask a = random_subtask(
+        rng, 2 * static_cast<std::size_t>(rng.uniform_int(0, 12)) + 1, false);
+    while (a.wcet > 2 && !oracle_fits(base, a)) a.wcet /= 2;
+    if (a.wcet < 2 || !oracle_fits(base, a)) continue;
+    // C: the smallest top-priority wcet that no longer fits, so its probe
+    // gets past some of the hosted set before it fails.
+    Subtask c = random_subtask(rng, 0, true);
+    c.wcet = c.deadline;
+    c.wcet = max_admissible_wcet(base, c) + 1;
+    const auto removed = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(hosted) - 1));
+
+    {  // fits(A) passes, then add(B) with B != A.
+      ProcessorState processor = base;
+      ASSERT_TRUE(processor.fits(a));
+      Subtask b = a;
+      b.wcet = a.wcet - 1;
+      processor.add(b);
+      expect_exact_cache(processor, "fits(A), add(B)", seed);
+    }
+    {  // fits(A) passes, then a failing fits(C), then add(A).
+      ProcessorState processor = base;
+      ASSERT_TRUE(processor.fits(a));
+      ASSERT_FALSE(processor.fits(c));
+      processor.add(a);
+      expect_exact_cache(processor, "fits(A), failing fits(C), add(A)", seed);
+    }
+    {  // fits(A) passes, then remove(), then add(A).
+      ProcessorState processor = base;
+      ASSERT_TRUE(processor.fits(a));
+      processor.remove(removed);
+      processor.add(a);
+      expect_exact_cache(processor, "fits(A), remove(), add(A)", seed);
+    }
+    {  // fits(A) passes, then a copy of another hosted set, then add(A).
+      ProcessorState other = base;
+      other.remove(removed);
+      ProcessorState processor = base;
+      ASSERT_TRUE(processor.fits(a));
+      processor = other;
+      processor.add(a);
+      expect_exact_cache(processor, "fits(A), copy, add(A)", seed);
+    }
+    {  // The commit itself: fits(A) passes, then add(A).
+      ProcessorState processor = base;
+      ASSERT_TRUE(processor.fits(a));
+      processor.add(a);
+      expect_exact_cache(processor, "fits(A), add(A)", seed);
+    }
+  }
 }
 
 TEST(AdmissionCache, MaxSplitMethodsAgreeOnWarmCache) {

@@ -1,6 +1,6 @@
 // MaxSplit (Definition 3): hand-computed values, the bottleneck property
 // (Definition 2), its trace counters, and equivalence of the shipped
-// binary search with the scheduling-point oracle on randomized
+// per-constraint search with the scheduling-point oracle on randomized
 // processors -- small hand-scale ones, admit-large-shaped ones, and ones
 // outside the SoA kernel's fast regime.
 #include <gtest/gtest.h>
@@ -116,8 +116,9 @@ void expect_matches_oracle(const ProcessorState& processor,
   }
 }
 
-// The two methods -- the shipped binary search and the scheduling-point
-// oracle -- agree on hand-scale random processors, candidate at any rank.
+// The two methods -- the shipped per-constraint search and the
+// scheduling-point oracle -- agree on hand-scale random processors,
+// candidate at any rank.
 TEST(MaxSplit, MethodsAgreeAndLeaveBottleneck) {
   Rng rng(2024);
   for (int trial = 0; trial < 1000; ++trial) {
@@ -238,9 +239,20 @@ TEST(MaxSplit, MonotoneInHostedLoad) {
             max_admissible_wcet(heavy, candidate));
 }
 
-// One call flushes exactly one kMaxSplitCalls and its binary-search probe
-// count.  The HandComputedValue processor: the search over [0, 40] probes
-// 20 (no), 10 (yes), 15 (yes), 17 (no), 16 (yes) -> 16 after 5 probes.
+// One call flushes exactly one kMaxSplitCalls and its single-constraint
+// analyses.  The HandComputedValue processor: hosted (C=50, T=D=100) with
+// exact response s = 50; the candidate (T=D=40) goes on top, so the one
+// constraint is the hosted subtask's deadline.  The O(1) bound is
+// hi = min(40, 40, floor((100 - 50) / ceil(50/40))) = 25.  Each analysis
+// at c starts from s + ceil(s/40) * (c - c_s), where (c_s, s) is the
+// largest passing wcet and its response (initially (0, 50)):
+//   c = 25: from 100, 50 + 3*25 = 125 > 100      miss -> search [0, 24]
+//   c = 12: from  74, 50 + 2*12 =  74            pass (c_s, s) = (12, 74)
+//   c = 18: from  86, 50 + 3*18 = 104 > 100      miss
+//   c = 15: from  80, 50 + 2*15 =  80            pass (c_s, s) = (15, 80)
+//   c = 16: from  82, 50 + 3*16 =  98, fixed     pass (c_s, s) = (16, 98)
+//   c = 17: from 101 > 100                       miss -> 16
+// 6 analyses, each one seeded re-analysis.
 TEST(MaxSplit, CountsOneCallAndItsProbes) {
   if (!trace::compiled_in()) GTEST_SKIP() << "tracing compiled out";
   trace::set_enabled(true);
@@ -255,11 +267,11 @@ TEST(MaxSplit, CountsOneCallAndItsProbes) {
             1u);
   EXPECT_EQ(after.counter(trace::Counter::kMaxSplitProbes) -
                 before.counter(trace::Counter::kMaxSplitProbes),
-            5u);
-  // The probes are ordinary admission probes, counted there too.
+            6u);
+  // The analyses are seeded admission re-analyses, counted there too.
   EXPECT_EQ(after.counter(trace::Counter::kAdmissionSeededRta) -
                 before.counter(trace::Counter::kAdmissionSeededRta),
-            5u);
+            6u);
 }
 
 TEST(ProcessorState, AddMaintainsPriorityOrderAndUtilization) {

@@ -48,8 +48,11 @@
 // admission verdicts and response times through kernel_analyze,
 // ProcessorState::fits/fits_batch and kernel_jitter_response, with the
 // SoA mirror staying consistent under any incremental insertion order;
-// and each drawn processor's MaxSplit (binary search over fits()) must
-// equal the scheduling-point oracle from tests/oracle/.
+// add() of the candidate fits() just passed (which commits the probe's
+// responses) and of one it did not must both leave every cached response
+// equal to scalar RTA; and each drawn processor's MaxSplit (the
+// per-constraint search) must equal the scheduling-point oracle from
+// tests/oracle/.
 //
 // On violation the exact seed/attempt and fault configuration are printed
 // and the offending task set is written to
@@ -423,6 +426,7 @@ std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
   std::uint64_t attempts = 0;
   std::uint64_t probes = 0;
   std::uint64_t max_splits = 0;
+  std::uint64_t adds = 0;
   std::uint64_t violations = 0;
   const auto fail = [&](const std::string& what) {
     ++violations;
@@ -562,6 +566,54 @@ std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
       }
     }
 
+    // (d') Commit: add() of the candidate the last fits() passed inserts
+    // that probe's responses as exact cache entries; add() of a candidate
+    // other than the last one probed must re-derive them instead.  After
+    // each add every cached response equals per-prefix scalar RTA.
+    std::vector<Subtask> hosted = subtasks;
+    const auto add_and_check = [&](const Subtask& s, const char* what) {
+      ++adds;
+      in_order.add(s);
+      hosted.insert(std::lower_bound(hosted.begin(), hosted.end(), s,
+                                     [](const Subtask& a, const Subtask& b) {
+                                       return a.priority < b.priority;
+                                     }),
+                    s);
+      for (std::size_t i = 0; i < hosted.size(); ++i) {
+        const auto hp = std::span<const Subtask>(hosted).first(i);
+        const RtaOutcome out =
+            response_time(hosted[i].wcet, hosted[i].deadline, hp);
+        if (out.schedulable && in_order.response_time_of(i) != out.response) {
+          fail(std::string(what) + ": cached response diverged at index " +
+               std::to_string(i));
+          break;
+        }
+      }
+    };
+    for (const Subtask& passed : candidates) {
+      RtaOutcome own;
+      if (!oracle_fits(hosted, passed, own)) continue;
+      if (!in_order.fits(passed)) fail("fits() rejected an oracle-fitting candidate");
+      add_and_check(passed, "add() of the last passing probe");
+      break;
+    }
+    {
+      // A fitting candidate (halve its wcet until the oracle admits it),
+      // added after a probe of a different candidate -- the same one one
+      // tick heavier, so a commit of the wrong probe shows.
+      Subtask other = random_kernel_subtask(
+          sample, static_cast<std::size_t>(sample.uniform_int(0, 20)),
+          overflow_scale);
+      RtaOutcome own;
+      while (other.wcet > 1 && !oracle_fits(hosted, other, own)) other.wcet /= 2;
+      if (oracle_fits(hosted, other, own)) {
+        Subtask probed = other;
+        ++probed.wcet;
+        (void)in_order.fits(probed);
+        add_and_check(other, "add() of a candidate not the last probed");
+      }
+    }
+
     // (e) The jitter kernel keeps the old robustness loop's exact values.
     if (n > 0) {
       const auto i = static_cast<std::size_t>(
@@ -577,7 +629,8 @@ std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
       if (kj != sj) fail("kernel_jitter_response diverged from scalar loop");
     }
 
-    // (f) MaxSplit: the binary search over fits() on the drawn processor
+    // (f) MaxSplit: the per-constraint search on the drawn processor (grown
+    // by (d')'s fitting adds, so still schedulable when the draw was)
     // equals the scheduling-point oracle, for a prototype at any rank.
     // Requires a schedulable host, and the oracle's testing sets must stay
     // enumerable (overflow-scale draws can ask for ~2^60 points).
@@ -585,10 +638,10 @@ std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
       const Subtask prototype = random_kernel_subtask(
           sample, static_cast<std::size_t>(sample.uniform_int(0, 20)),
           overflow_scale);
-      if (testing_points(subtasks, prototype) <= kMaxOraclePoints) {
+      if (testing_points(hosted, prototype) <= kMaxOraclePoints) {
         ++max_splits;
         const Time library = max_admissible_wcet(in_order, prototype);
-        const Time expected = oracle::max_admissible_wcet(subtasks, prototype);
+        const Time expected = oracle::max_admissible_wcet(hosted, prototype);
         if (library != expected) {
           fail("max_admissible_wcet " + std::to_string(library) +
                " diverged from the scheduling-point oracle's " +
@@ -599,7 +652,8 @@ std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
   }
 
   std::cout << "rmts_fuzz kernel: " << attempts << " hosted sets, " << probes
-            << " admission probes, " << max_splits << " MaxSplit checks, "
+            << " admission probes, " << adds << " checked adds, "
+            << max_splits << " MaxSplit checks, "
             << violations << " violations (seed " << seed << ")\n";
   return violations;
 }
