@@ -43,6 +43,8 @@ std::string_view counter_name(Counter counter) noexcept {
     case Counter::kSimEvents: return "sim_events";
     case Counter::kMaxSplitCalls: return "max_split_calls";
     case Counter::kMaxSplitProbes: return "max_split_probes";
+    case Counter::kAdmissionUtilizationRejects:
+      return "admission_utilization_rejects";
   }
   return "unknown";
 }

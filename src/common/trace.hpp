@@ -82,8 +82,11 @@ enum class Counter : std::uint8_t {
   kSimEvents,  ///< event-loop iterations across all simulation runs
   kMaxSplitCalls,   ///< max_admissible_wcet invocations (split attempts)
   kMaxSplitProbes,  ///< MaxSplit's single-constraint analyses
+  /// fits() probes rejected by the utilization pre-check, before any RTA.
+  /// Appended last so that every earlier counter keeps its index.
+  kAdmissionUtilizationRejects,
 };
-inline constexpr std::size_t kCounterCount = 11;
+inline constexpr std::size_t kCounterCount = 12;
 
 [[nodiscard]] std::string_view stage_name(Stage stage) noexcept;
 [[nodiscard]] std::string_view counter_name(Counter counter) noexcept;

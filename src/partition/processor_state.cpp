@@ -3,9 +3,25 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/checked_math.hpp"
 #include "common/trace.hpp"
 
 namespace rmts {
+
+namespace {
+
+/// Slack of fits()'s utilization pre-check above 1.  utilization() is a
+/// double: each term wcet/period is rounded (at most three roundings: two
+/// conversions and the division) and the running sum adds one rounding
+/// per term, so for n terms whose true sum s is at most 1 the computed
+/// sum errs by at most about (n + 3) * 2^-53 * s.  Sessions host at most
+/// max_session_residents = 4,096 subtasks per processor, which bounds the
+/// error by ~4.6e-13; 1e-9 covers every hosted set below ~4 million
+/// subtasks.  Without slack, 1,000 x (1, 1000) -- exactly U = 1 and RM
+/// schedulable -- sums to 1.0000000000000007 and would be rejected.
+constexpr double kUtilizationSlack = 1e-9;
+
+}  // namespace
 
 void ProcessorState::add(const Subtask& subtask) {
   const std::size_t pos = rta_kernel_detail::insert_position(subtasks_, subtask);
@@ -60,7 +76,8 @@ void ProcessorState::remove(std::size_t index) {
     // entry at or past `index` just SHRANK, so its stale cached response
     // (or kTimeInfinity miss marker) is an upper bound -- exactly the
     // wrong side for a fixed-point seed.  wcet is the unconditional lower
-    // bound; the next warm() pass recomputes exact values.
+    // bound; the next warm() pass raises it to the predecessor bound and
+    // recomputes exact values.
     cache.response.erase(cache.response.begin() + offset);
     for (std::size_t i = index; i < subtasks_.size(); ++i) {
       cache.response[i] = subtasks_[i].wcet;
@@ -90,19 +107,30 @@ ProcessorState::Cache& ProcessorState::materialize_cache() const {
 
 void ProcessorState::warm(Cache& cache, std::size_t end) const {
   // One exact-response pass over the invalidated entries (add() and
-  // remove() only ever invalidate suffixes), each seeded by its own stale
-  // lower bound -- the same work the next probe's seeded scan would have
-  // done once, now amortized across every probe until the next add().
+  // remove() only ever invalidate suffixes), front to back -- the same
+  // work the next probe's seeded scan would have done once, now amortized
+  // across every probe until the next add().  Each entry is seeded by the
+  // larger of its own stale lower bound and R_{i-1} + C_i, where R_{i-1}
+  // is its predecessor's response, exact by the time entry i is reached
+  // (the predecessor bound; proof in processor_state.hpp).
   std::uint64_t iterations = 0;
   for (std::size_t i = cache.warm_prefix; i < end; ++i) {
     // A stale miss stays a miss: interference only grew since it was found.
-    if (cache.response[i] != kTimeInfinity) {
+    Time seed = cache.response[i];
+    if (seed != kTimeInfinity && i > 0 &&
+        cache.response[i - 1] != kTimeInfinity) {
+      // Saturated: R_{i-1} + C_i past int64 exceeds every deadline.
+      const auto bound = checked_add(cache.response[i - 1], subtasks_[i].wcet);
+      seed = bound ? std::max(seed, *bound) : kTimeInfinity;
+    }
+    if (seed != kTimeInfinity) {
       const RtaOutcome outcome = kernel_response_time(
           subtasks_, cache.soa, i, subtasks_[i].wcet, subtasks_[i].deadline,
-          cache.response[i]);
+          seed);
       iterations += static_cast<std::uint64_t>(outcome.iterations);
-      cache.response[i] = outcome.schedulable ? outcome.response : kTimeInfinity;
+      seed = outcome.schedulable ? outcome.response : kTimeInfinity;
     }
+    cache.response[i] = seed;
   }
   trace::count2(trace::Counter::kAdmissionCacheMiss, end - cache.warm_prefix,
                 trace::Counter::kAdmissionRtaIterations, iterations);
@@ -116,13 +144,23 @@ ProcessorState::Cache& ProcessorState::warm_cache() const {
 }
 
 bool ProcessorState::fits(const Subtask& candidate) const {
+  // A total utilization above 1 is infeasible on one processor, and exact
+  // RTA with deadlines <= periods rejects every such set: if the lowest-
+  // priority subtask meets R <= D <= T, then R >= C + R * U_hp gives
+  // C / T <= C / R <= 1 - U_hp.  So this check changes no verdict, only
+  // its cost: no warming, no probe scratch written (the kept probe stays
+  // valid for add()) and no RTA iterations.
+  if (utilization_ + candidate.utilization() > 1.0 + kUtilizationSlack) {
+    trace::count(trace::Counter::kAdmissionUtilizationRejects);
+    return false;
+  }
   Cache& cache = warm_cache();
-  // The candidate under its prefix, then each lower-priority subtask with
-  // the candidate as an extra interferer, seeded with the memoized
-  // candidate-free responses (now exact after warming, which unlocks the
-  // kernel's O(1) first-iterate identity; a cached kTimeInfinity is a
-  // known miss and rejects immediately).  The kernel replicates this
-  // probe order bit-identically; see rta_kernel.hpp.
+  // The candidate under its prefix, then each lower-priority subtask,
+  // lowest priority first, with the candidate as an extra interferer,
+  // seeded with the memoized candidate-free responses (now exact after
+  // warming, which unlocks the kernel's O(1) first-iterate identity; a
+  // cached kTimeInfinity is a known miss and rejects on reaching it).
+  // Both kernel paths keep this order; see rta_kernel.hpp.
   const KernelFit verdict = kernel_fits(subtasks_, cache.soa, cache.response,
                                         candidate, cache.probe,
                                         /*seeds_exact=*/true);

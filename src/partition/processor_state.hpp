@@ -25,6 +25,19 @@ namespace rmts {
 /// stale value is an upper bound and a cached miss may now fit -- so
 /// remove() re-seeds the suffix from each subtask's own wcet instead
 /// (the unconditionally valid lower bound).
+/// Re-warming raises every seed to the predecessor bound: entry i's
+/// response satisfies R_i >= R_{i-1} + C_i whenever R_{i-1} is finite.
+/// Proof: write f_k(t) = C_k + sum_{j<k} ceil(t/T_j) C_j, whose least
+/// fixed point is R_k.  For 0 < t < R_{i-1}, f_{i-1}(t) > t (the fixed-
+/// point iteration from below would otherwise stop at or below t), and
+/// f_i(t) >= C_i + f_{i-1}(t) because subtask i-1 interferes with i at
+/// least once; so f_i(t) > t.  On [R_{i-1}, R_{i-1} + C_i),
+/// f_i(t) >= C_i + f_{i-1}(R_{i-1}) = C_i + R_{i-1} > t.  Hence no fixed
+/// point of f_i lies below R_{i-1} + C_i.  This holds for any hosted set,
+/// so it is the valid lower bound after a remove() (R_old minus the
+/// departed task's jobs is not one: a removal can shorten the busy
+/// period by more than that), and it also tightens the stale seeds that
+/// a non-committed add() leaves behind.
 /// The accepted probe is committed, not re-derived: a passing fits()
 /// computes every lower-priority subtask's response with the candidate
 /// added, and add() of exactly that candidate inserts those responses as
@@ -82,9 +95,11 @@ class ProcessorState {
   /// re-analysis, which converges to the least fixed point only from
   /// below -- and a cached kTimeInfinity "known miss" may now be
   /// schedulable.  The suffix is therefore re-seeded from each subtask's
-  /// own wcet rather than keeping stale values the way add() can; entries
-  /// before `index` keep their exact responses (their interferers are all
-  /// at positions < index and did not change).  Does not touch full():
+  /// own wcet rather than keeping stale values the way add() can, and the
+  /// next warm() lifts each seed to the predecessor bound R_{i-1} + C_i
+  /// (see the class comment); entries before `index` keep their exact
+  /// responses (their interferers are all at positions < index and did
+  /// not change).  Does not touch full():
   /// whether vacated capacity reopens a sealed processor is the caller's
   /// policy (the batch partitioners' bottleneck argument is not
   /// invalidated by removals they never make).
@@ -95,8 +110,13 @@ class ProcessorState {
   /// lower-priority subtasks are re-analyzed; higher-priority response
   /// times cannot change, and each re-analysis is seeded with the memoized
   /// candidate-free response.  Evaluated through the SoA kernel
-  /// (rta/rta_kernel.hpp), bit-identical to the scalar path.  A passing
-  /// probe is kept for add() to commit (see add()).
+  /// (rta/rta_kernel.hpp), bit-identical to the scalar path, with the
+  /// lower-priority subtasks checked lowest priority first so that a
+  /// failing probe stops early.  A total utilization above 1 rejects
+  /// before any analysis (counted as kAdmissionUtilizationRejects): it
+  /// is infeasible, so exact RTA would reject it too.  A passing probe is
+  /// kept for add() to commit (see add()); a utilization reject leaves
+  /// the kept probe as it was.
   [[nodiscard]] bool fits(const Subtask& candidate) const;
 
   /// Batched admission: one verdict per candidate against the current
@@ -134,10 +154,11 @@ class ProcessorState {
   /// measurably slower than the whole cache is worth.
   struct Cache {
     /// response[i]: exact candidate-free response time of subtasks_[i]
-    /// for i < warm_prefix, else a stale lower bound from an earlier
-    /// (subset) hosted set.  kTimeInfinity marks a known deadline miss
-    /// (possible when a caller adds past a non-RTA admission test, as SPA
-    /// does).
+    /// for i < warm_prefix, else a lower bound: a stale response from an
+    /// earlier (subset) hosted set, or the wcet after a remove().  warm()
+    /// raises it to R_{i-1} + C_i before analysing.  kTimeInfinity marks
+    /// a known deadline miss (possible when a caller adds past a non-RTA
+    /// admission test, as SPA does).
     std::vector<Time> response;
     /// Entries [0, warm_prefix) are exact.  add() and remove() only ever
     /// invalidate suffixes and warm() recomputes in order, so one marker
@@ -145,10 +166,12 @@ class ProcessorState {
     std::size_t warm_prefix{0};
     /// The kernel's scratch for candidate-aware responses, as long as
     /// response.  After a passing fits() probe of `probed` (and until the
-    /// next add(), remove() or probe), probe[pos, size) holds the
-    /// responses of the hosted subtasks from the candidate's insert
-    /// position on with the candidate added, and probed_response the
-    /// candidate's own; add() of exactly `probed` commits them.
+    /// next add(), remove() or probe that reaches the kernel), probe[pos,
+    /// size) holds the responses of the hosted subtasks from the
+    /// candidate's insert position on with the candidate added, and
+    /// probed_response the candidate's own; add() of exactly `probed`
+    /// commits them.  A failing probe overwrites the scratch from the
+    /// bottom up, so it drops the record.
     std::vector<Time> probe;
     Subtask probed;
     Time probed_response{0};
@@ -159,8 +182,10 @@ class ProcessorState {
   };
 
   /// Makes cache.response[0, end) exact: one front-to-back pass over the
-  /// invalid entries in [warm_prefix, end), each seeded by its own stale
-  /// lower bound.  Requires warm_prefix < end.  fits()/fits_batch() warm every entry before probing:
+  /// invalid entries in [warm_prefix, end), each seeded by the larger of
+  /// its own stale lower bound and the predecessor bound R_{i-1} + C_i.
+  /// Requires warm_prefix < end.  fits()/fits_batch() warm every entry
+  /// before probing:
   /// exact seeds let the kernel derive each seeded re-analysis' first
   /// iterate in O(1) (the fixed-point identity in rta_kernel.cpp), saving
   /// a full time-demand pass per hosted subtask per probe.

@@ -273,8 +273,9 @@ KernelFit kernel_fits_generic(std::span<const Subtask> subtasks,
   // Every lower-priority subtask now additionally sees the candidate; its
   // memoized candidate-free response seeds the re-analysis (stale values
   // are still valid lower bounds, and the O(1) boost applies whenever the
-  // seed is promised exact; kTimeInfinity is a known miss).
-  for (std::size_t i = pos; i < subtasks.size(); ++i) {
+  // seed is promised exact; kTimeInfinity is a known miss).  Lowest
+  // priority first, like the fast path in rta_kernel.hpp.
+  for (std::size_t i = subtasks.size(); i-- > pos;) {
     Time seed = seeds[i];
     if (seed == kTimeInfinity) return verdict;  // miss stays a miss
     if (boost && seed >= 1 && seed < kFastBound) {

@@ -282,9 +282,17 @@ struct KernelFit {
 /// One admission probe with the documented ProcessorState::fits semantics:
 /// the candidate under its higher-priority prefix, then every
 /// lower-priority hosted subtask with the candidate as an extra
-/// interferer, seeded from `seeds` (the memoized candidate-free responses;
-/// stale lower bounds are fine, kTimeInfinity marks a known miss and
-/// rejects immediately).  `seeds` is parallel to `subtasks`.
+/// interferer, lowest priority first, seeded from `seeds` (the memoized
+/// candidate-free responses; stale lower bounds are fine, kTimeInfinity
+/// marks a known miss and rejects on reaching it).  `seeds` is parallel
+/// to `subtasks`.
+///
+/// Order: the candidate's own analysis runs first -- it is cheap (`pos`
+/// interferers) and keeps KernelFit::response's contract -- and the hosted
+/// constraints then run from the bottom up, because with rate-monotonic
+/// priorities a failing probe usually fails near the bottom, where every
+/// other subtask interferes.  A passing probe analyses every constraint
+/// whatever the order; only a failing one stops earlier.
 ///
 /// Each hosted subtask i the probe re-analyses and finds schedulable gets
 /// its exact candidate-aware response written to `responses[i]` (parallel
@@ -292,7 +300,7 @@ struct KernelFit {
 /// candidate's insert position to the end are exactly the responses of
 /// the hosted set with the candidate added, so ProcessorState::add() of
 /// that candidate can keep them instead of re-deriving them.  A rejected
-/// probe leaves an unspecified prefix of that range overwritten.
+/// probe leaves an unspecified suffix of that range overwritten.
 ///
 /// With `seeds_exact`, every non-infinite seed is promised to be the EXACT
 /// candidate-free fixed point of its subtask (ProcessorState warms its
@@ -333,14 +341,14 @@ struct KernelFit {
   //
   //  * the candidate's own analysis starts at its one-job base (the
   //    seed-0 scalar path iterates identically);
-  //  * each seeded re-analysis starts from the O(1) first-iterate
-  //    identity: an exact candidate-free fixed point s satisfies
-  //    s = wcet_i + I_i(s), so the first candidate-aware iterate is
-  //    s + ceil(s/T_c)*C_c -- no time-demand pass needed.  Exact seeds
-  //    guarantee seed >= wcet_i >= 1 and seed <= deadline_i < 2^31
-  //    without checking, and the boosted iterate dominates the one-job
-  //    base (each ceil term >= its wcet), making the generic path's
-  //    max(base, seed) redundant.
+  //  * each seeded re-analysis (lowest priority first) starts from the
+  //    O(1) first-iterate identity: an exact candidate-free fixed point
+  //    s satisfies s = wcet_i + I_i(s), so the first candidate-aware
+  //    iterate is s + ceil(s/T_c)*C_c -- no time-demand pass needed.
+  //    Exact seeds guarantee seed >= wcet_i >= 1 and
+  //    seed <= deadline_i < 2^31 without checking, and the boosted
+  //    iterate dominates the one-job base (each ceil term >= its wcet),
+  //    making the generic path's max(base, seed) redundant.
   //
   // Iterate values, verdicts and iteration counts are identical to the
   // generic path by construction.  Defined inline so ProcessorState's
@@ -381,7 +389,7 @@ struct KernelFit {
       }
       own_response = r;
     }
-    for (std::size_t i = pos; i < n; ++i) {
+    for (std::size_t i = n; i-- > pos;) {
       const Time seed = seeds[i];
       if (seed == kTimeInfinity) return verdict;  // miss stays a miss
       ++verdict.seeded_calls;

@@ -212,9 +212,11 @@ TEST(Exposition, StatsReplyCarriesTraceSections) {
     ASSERT_NE(reply.find("counters"), nullptr);
     EXPECT_TRUE(reply.find("stages")->is_object());
     EXPECT_TRUE(reply.find("counters")->is_object());
-    // Every trace counter, e.g. the MaxSplit pair, reaches both surfaces.
+    // Every trace counter, e.g. the MaxSplit pair and the utilization
+    // check's rejects, reaches both surfaces.
     const std::string text = router.metrics_exposition();
-    for (const char* name : {"max_split_calls", "max_split_probes"}) {
+    for (const char* name : {"max_split_calls", "max_split_probes",
+                             "admission_utilization_rejects"}) {
       EXPECT_NE(reply.find("counters")->find(name), nullptr) << name;
       EXPECT_NE(text.find("rmts_trace_events_total{counter=\"" +
                           std::string(name) + "\"}"),

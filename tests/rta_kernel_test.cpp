@@ -362,6 +362,38 @@ TEST(RtaKernel, KnownMissSeedRejectsImmediately) {
   EXPECT_EQ(verdict[0].response, 0);  // hosted subtask was the reason.
 }
 
+TEST(RtaKernel, FailingProbeChecksTheLowestPriorityConstraintFirst) {
+  // Only the lowest hosted subtask misses once the top-priority candidate
+  // joins (R = 8 > 7), at U = 0.8, so no utilization argument decides it:
+  // the probe analyses the candidate, then that constraint, and stops.  A
+  // passing probe still analyses every constraint.
+  const Subtask candidate = make_subtask(0, 2, 10, 10);
+  const Subtask fitting = make_subtask(0, 1, 10, 10);
+  for (const Time top_period : {Time{10}, kBoundary}) {
+    // A period of 2^31 leaves the fused fast path for the generic one.
+    const std::vector<Subtask> hosted{make_subtask(1, 2, top_period, 10),
+                                      make_subtask(2, 2, 10, 10),
+                                      make_subtask(3, 2, 10, 7)};
+    RtaSoa soa;
+    soa.assign(hosted);
+    const ProcessorRta exact = kernel_analyze(hosted);
+    ASSERT_TRUE(exact.schedulable);
+    std::vector<Time> responses(hosted.size(), 0);
+
+    const KernelFit miss = kernel_fits(hosted, soa, exact.response, candidate,
+                                       responses, /*seeds_exact=*/true);
+    EXPECT_FALSE(miss.fits) << top_period;
+    EXPECT_EQ(miss.response, 0) << top_period;  // a hosted subtask missed
+    EXPECT_EQ(miss.seeded_calls, 1u) << top_period;
+
+    const KernelFit pass = kernel_fits(hosted, soa, exact.response, fitting,
+                                       responses, /*seeds_exact=*/true);
+    EXPECT_TRUE(pass.fits) << top_period;
+    EXPECT_EQ(pass.seeded_calls, 3u) << top_period;
+    EXPECT_EQ(responses, (std::vector<Time>{3, 5, 7})) << top_period;
+  }
+}
+
 // ------------------------------------------------------- jitter kernel --
 
 TEST(RtaKernel, JitterResponseMatchesScalarSaturatingLoop) {

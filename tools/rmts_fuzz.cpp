@@ -50,7 +50,8 @@
 // SoA mirror staying consistent under any incremental insertion order;
 // add() of the candidate fits() just passed (which commits the probe's
 // responses) and of one it did not must both leave every cached response
-// equal to scalar RTA; and each drawn processor's MaxSplit (the
+// equal to scalar RTA, and so must one remove() after them (the re-warm
+// seeded by the predecessor bound); and each drawn processor's MaxSplit (the
 // per-constraint search) must equal the scheduling-point oracle from
 // tests/oracle/.
 //
@@ -427,6 +428,7 @@ std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
   std::uint64_t probes = 0;
   std::uint64_t max_splits = 0;
   std::uint64_t adds = 0;
+  std::uint64_t removals = 0;
   std::uint64_t violations = 0;
   const auto fail = [&](const std::string& what) {
     ++violations;
@@ -614,6 +616,52 @@ std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
       }
     }
 
+    // (d'') Removal: remove() re-seeds the suffix from wcets and the next
+    // warm() lifts each seed to the predecessor bound R_{i-1} + C_i; after
+    // one random removal every cached response (misses included, read
+    // through kernel_view() since response_time_of() is for admitted
+    // subtasks) and every response_time_of() of a schedulable entry
+    // equals per-prefix scalar RTA.
+    // Then a one-tick subtask joins at the bottom with its exact response
+    // as deadline: its re-warm starts from R_{n-1} + 1, which is usually
+    // already the answer, so a seed one tick too high would read a miss.
+    const auto check_cached = [&](const std::string& what) {
+      const auto cached = in_order.kernel_view().responses;
+      for (std::size_t i = 0; i < hosted.size(); ++i) {
+        const auto hp = std::span<const Subtask>(hosted).first(i);
+        const RtaOutcome out =
+            response_time(hosted[i].wcet, hosted[i].deadline, hp);
+        const Time expected = out.schedulable ? out.response : kTimeInfinity;
+        if (cached[i] != expected ||
+            (out.schedulable && in_order.response_time_of(i) != expected)) {
+          fail(what + ": cached response diverged at index " +
+               std::to_string(i));
+          return;
+        }
+      }
+    };
+    if (!hosted.empty()) {
+      ++removals;
+      const auto index = static_cast<std::size_t>(sample.uniform_int(
+          0, static_cast<std::int64_t>(hosted.size()) - 1));
+      in_order.remove(index);
+      hosted.erase(hosted.begin() + static_cast<std::ptrdiff_t>(index));
+      check_cached("remove(" + std::to_string(index) + ")");
+    }
+    if (!hosted.empty()) {
+      Subtask tight = hosted.back();
+      ++tight.priority;
+      ++tight.task_id;
+      tight.wcet = 1;
+      const RtaOutcome out = response_time(1, tight.period, hosted);
+      if (out.schedulable) {
+        tight.deadline = out.response;
+        in_order.add(tight);
+        hosted.push_back(tight);
+        check_cached("add of a subtask tight at its deadline");
+      }
+    }
+
     // (e) The jitter kernel keeps the old robustness loop's exact values.
     if (n > 0) {
       const auto i = static_cast<std::size_t>(
@@ -630,7 +678,8 @@ std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
     }
 
     // (f) MaxSplit: the per-constraint search on the drawn processor (grown
-    // by (d')'s fitting adds, so still schedulable when the draw was)
+    // by (d')'s fitting adds, shrunk by (d'')'s removal and ending in its
+    // schedulable tight subtask, so still schedulable when the draw was)
     // equals the scheduling-point oracle, for a prototype at any rank.
     // Requires a schedulable host, and the oracle's testing sets must stay
     // enumerable (overflow-scale draws can ask for ~2^60 points).
@@ -653,7 +702,8 @@ std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
 
   std::cout << "rmts_fuzz kernel: " << attempts << " hosted sets, " << probes
             << " admission probes, " << adds << " checked adds, "
-            << max_splits << " MaxSplit checks, "
+            << removals << " checked removals, " << max_splits
+            << " MaxSplit checks, "
             << violations << " violations (seed " << seed << ")\n";
   return violations;
 }
