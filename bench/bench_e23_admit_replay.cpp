@@ -11,15 +11,19 @@
 //    replayed on k fresh sessions; every op's time is the best of those k
 //    passes.  Admits are split into whole, split and rejected ones.
 //  * admit-large and admit-small: Rmts::partition per pooled set, timed as
-//    the best of k passes per set.
+//    the best of k passes per set; and Router::handle per pooled request
+//    line (parse, validation, bound, partition and reply, as a server
+//    worker runs it), timed the same way, with the heap allocations each
+//    line makes after a warm-up line (a counting global operator new).
 //
 // Next to the times it reports exact work counts per op from the first
 // (counting) pass: RTA iterations, seeded analyses, recomputed cache
 // entries, MaxSplit probes and utilization-check rejects; a counter that
 // the library does not define reads 0.  An FNV-1a digest over every
-// session verdict, ticket and chain length, and over every partition's
-// placement, shows that two builds decided the same.  The timing passes
-// run with tracing switched off, so the times are the library's alone.
+// session verdict, ticket and chain length, over every partition's
+// placement and over every reply byte, shows that two builds decided the
+// same.  The timing passes run with tracing switched off, so the times are
+// the library's alone.
 //
 // Usage: bench_e23_admit_replay [--smoke] [--side NAME] [--seeds A,B,...]
 //                               [--reps K]
@@ -28,12 +32,15 @@
 // a replay pass decides differently from the counting pass.
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -47,7 +54,43 @@
 #include "online/session.hpp"
 #include "partition/rmts.hpp"
 #include "perfbench.hpp"
+#include "server/metrics.hpp"
+#include "server/router.hpp"
 #include "tasks/task_set.hpp"
+
+namespace {
+std::atomic<std::uint64_t> allocations{0};
+}  // namespace
+
+// Counts every heap allocation of the process; the handle rows read the
+// count around each Router::handle call.  The nothrow forms are replaced
+// too (std::stable_sort's buffer uses them), so that every block a
+// replaced operator delete frees came from malloc.
+void* operator new(std::size_t size) {
+  allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+// Out of line, so GCC's -Wmismatched-new-delete does not see a new
+// expression's pointer reach free() and call the pair mismatched.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -107,6 +150,13 @@ class Digest {
   void add(std::uint64_t word) noexcept {
     for (int byte = 0; byte < 8; ++byte) {
       hash_ ^= (word >> (8 * byte)) & 0xffU;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(std::string_view bytes) noexcept {
+    add(bytes.size());
+    for (const char c : bytes) {
+      hash_ ^= static_cast<unsigned char>(c);
       hash_ *= 0x100000001b3ULL;
     }
   }
@@ -406,6 +456,56 @@ bool replay_admit(perfbench::Workload which, std::uint64_t seed,
   return consistent;
 }
 
+// ------------------------------------------------------ Router::handle --
+
+bool replay_handle(perfbench::Workload which, std::uint64_t seed,
+                   std::size_t max_lines, std::size_t reps,
+                   const std::string& side, Table& table) {
+  const perfbench::AdmitWorkload workload =
+      perfbench::make_admit_workload(which, seed);
+  const std::size_t lines = std::min(max_lines, workload.pool.size());
+  const server::Metrics metrics;
+  const server::Router router(server::RouterConfig{}, metrics);
+  trace::set_enabled(false);
+  // One warm-up line fills the thread's caches, as a server worker's
+  // earlier requests have; the counting pass then sees steady state.
+  bool consistent = !router.handle(workload.pool[0].line).error;
+
+  std::vector<std::string> replies(lines);
+  std::vector<std::uint64_t> allocated(lines);
+  Digest digest;
+  for (std::size_t i = 0; i < lines; ++i) {
+    const std::uint64_t before = allocations.load(std::memory_order_relaxed);
+    server::HandleOutcome outcome = router.handle(workload.pool[i].line);
+    allocated[i] = allocations.load(std::memory_order_relaxed) - before;
+    if (outcome.error) consistent = false;
+    digest.add(outcome.reply);
+    replies[i] = std::move(outcome.reply);
+  }
+
+  std::vector<std::uint64_t> best(lines, std::numeric_limits<std::uint64_t>::max());
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    for (std::size_t i = 0; i < lines; ++i) {
+      const std::uint64_t start = now_ns();
+      const server::HandleOutcome outcome = router.handle(workload.pool[i].line);
+      best[i] = std::min(best[i], now_ns() - start);
+      if (outcome.reply != replies[i]) consistent = false;
+    }
+  }
+  trace::set_enabled(true);
+
+  std::uint64_t total = 0;
+  for (const std::uint64_t a : allocated) total += a;
+  const Summary s = summarize(best);
+  table.add_row({side, std::to_string(seed), perfbench::workload_name(which),
+                 std::to_string(lines), fixed(s.mean_us), fixed(s.p50_us),
+                 fixed(s.p99_us),
+                 fixed(static_cast<double>(total) / static_cast<double>(lines)),
+                 std::to_string(*std::max_element(allocated.begin(), allocated.end())),
+                 digest.hex(), consistent ? "yes" : "NO"});
+  return consistent;
+}
+
 std::vector<std::uint64_t> parse_seeds(const std::string& list) {
   std::vector<std::uint64_t> seeds;
   std::stringstream in(list);
@@ -455,7 +555,7 @@ int main(int argc, char** argv) {
       "and a digest of every decision",
       "perfbench's seeded inputs: session-churn (M = 8, one session filled, "
       "then churn at 40 % departs) and the admit-large / admit-small pools "
-      "through Rmts::partition; best of k passes per op");
+      "through Rmts::partition and Router::handle; best of k passes per op");
 
   const CountReader reader;
   Table classes(header_with_counts(
@@ -470,6 +570,9 @@ int main(int argc, char** argv) {
       "_per_set");
   admit_header.insert(admit_header.end(), {"digest", "replay_identical"});
   Table admits(std::move(admit_header));
+  Table handles({"side", "seed", "workload", "lines", "mean_us", "p50_us",
+                 "p99_us", "allocations_per_line", "allocations_max",
+                 "reply_digest", "replay_identical"});
   bool consistent = true;
   for (const std::uint64_t seed : seeds) {
     consistent = replay_churn(seed, ops, reps, side, reader, classes, sessions) &&
@@ -480,19 +583,29 @@ int main(int argc, char** argv) {
     consistent = replay_admit(perfbench::Workload::kAdmitSmall, seed,
                               small_sets, reps, side, reader, admits) &&
                  consistent;
+    consistent = replay_handle(perfbench::Workload::kAdmitLarge, seed,
+                               large_sets, reps, side, handles) &&
+                 consistent;
+    consistent = replay_handle(perfbench::Workload::kAdmitSmall, seed,
+                               small_sets, reps, side, handles) &&
+                 consistent;
   }
   classes.print_text(std::cout, "E23: session-churn ops, best of k per op");
   sessions.print_text(std::cout, "E23: session-churn sessions");
   admits.print_text(std::cout, "E23: Rmts::partition per pooled set");
+  handles.print_text(std::cout,
+                     "E23: Router::handle per pooled admit line, best of k");
 
   bench::JsonReport report(
       "e23",
-      "in-process replay of perfbench's seeded inputs: session-churn ops and "
-      "Rmts::partition per pooled set, best of k passes per op, with exact "
-      "work counts from a counting pass and a digest of every decision");
+      "in-process replay of perfbench's seeded inputs: session-churn ops, "
+      "Rmts::partition per pooled set and Router::handle per pooled admit "
+      "line, best of k passes per op, with exact work counts and "
+      "allocations from a counting pass and a digest of every decision");
   report.add_table("churn", classes);
   report.add_table("sessions", sessions);
   report.add_table("admit", admits);
+  report.add_table("handle", handles);
   report.write();
 
   if (!consistent) {

@@ -42,8 +42,14 @@ DivisibilityOrder divisibility_order(std::span<const Time> periods) {
   out.rows.assign(n * out.words, 0);
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t* row = out.rows.data() + i * out.words;
+    // Periods are positive, so the exact multiply-by-inverse test applies
+    // (harmonic.hpp); its constants are built once per row.
+    const harmonic_detail::ExactDivisor divisor(
+        static_cast<std::uint64_t>(sorted[i]));
     for (std::size_t j = i + 1; j < n; ++j) {
-      if (sorted[j] % sorted[i] == 0) row[j / 64] |= std::uint64_t{1} << (j % 64);
+      if (divisor.divides(static_cast<std::uint64_t>(sorted[j]))) {
+        row[j / 64] |= std::uint64_t{1} << (j % 64);
+      }
     }
   }
   return out;

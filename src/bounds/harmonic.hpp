@@ -13,7 +13,9 @@
 // fewer chains.
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -37,6 +39,57 @@ namespace rmts {
 /// of `periods` forming one chain, in non-decreasing period order.
 [[nodiscard]] std::vector<std::vector<std::size_t>> min_harmonic_chain_partition(
     std::span<const Time> periods);
+
+namespace harmonic_detail {
+
+/// Exact test of d | n for one fixed divisor d >= 1 and any n < 2^64,
+/// without a division (Granlund & Montgomery, PLDI 1994; Hacker's
+/// Delight, 2nd ed., section 10-17).  Write d = d0 * 2^k with d0 odd and
+/// let L = floor((2^64 - 1) / d).  Then
+///
+///   d | n  <=>  rotr(n * d0^-1 mod 2^64, k) <= L.
+///
+/// Proof.  f(n) = rotr(n * d0^-1 mod 2^64, k) is a bijection of
+/// [0, 2^64): d0 is odd, so multiplying by d0^-1 permutes the residues
+/// mod 2^64, and a rotation permutes the bit patterns.  (=>) A multiple
+/// n = q * d < 2^64 has q <= L, and n * d0^-1 = q * 2^k (mod 2^64) with
+/// q * 2^k <= n < 2^64, so the product is q * 2^k exactly, its low k bits
+/// are 0, and f(n) = q <= L.  (<=) The L + 1 multiples 0, d, ..., L * d
+/// below 2^64 thus map one to one onto all of {0, ..., L}; f being
+/// injective, no other n maps there.  So the test is exact for every
+/// period in [1, 2^63) with no remainder fallback.
+///
+/// The constants are computed once per divisor; each test is then one
+/// multiply, one rotate and one compare.
+class ExactDivisor {
+ public:
+  /// Requires d >= 1.
+  explicit constexpr ExactDivisor(std::uint64_t d) noexcept
+      : shift_(std::countr_zero(d)),
+        limit_(~std::uint64_t{0} / d),
+        inverse_(odd_inverse(d >> shift_)) {}
+
+  [[nodiscard]] constexpr bool divides(std::uint64_t n) const noexcept {
+    return std::rotr(n * inverse_, shift_) <= limit_;
+  }
+
+ private:
+  /// odd^-1 mod 2^64.  Newton's iteration x <- x(2 - odd x) doubles the
+  /// number of correct low bits; 3 odd XOR 2 is odd's inverse mod 2^5
+  /// (Montgomery's start), so four steps give 5 -> 10 -> 20 -> 40 -> 80
+  /// >= 64 bits.
+  static constexpr std::uint64_t odd_inverse(std::uint64_t odd) noexcept {
+    std::uint64_t inverse = (3 * odd) ^ 2;
+    for (int step = 0; step < 4; ++step) inverse *= 2 - odd * inverse;
+    return inverse;
+  }
+
+  int shift_;
+  std::uint64_t limit_;
+  std::uint64_t inverse_;
+};
+
+}  // namespace harmonic_detail
 
 /// HC-Bound(tau) = K(2^{1/K} - 1) with K the minimum harmonic chain count.
 class HarmonicChainBound final : public ParametricBound {

@@ -6,16 +6,11 @@
 namespace rmts {
 
 std::size_t Assignment::split_task_count() const {
-  std::vector<TaskId> ids;
-  ids.reserve(subtask_count());
-  for (const ProcessorAssignment& proc : processors) {
-    for (const Subtask& s : proc.subtasks) ids.push_back(s.task_id);
-  }
-  // Sorted, each task's parts are adjacent: count the runs of length >= 2.
-  std::sort(ids.begin(), ids.end());
+  // Parts are numbered 0, 1, ... in chain order, so a task placed in at
+  // least two pieces has exactly one part 1 (see the declaration).
   std::size_t split = 0;
-  for (std::size_t i = 1; i < ids.size(); ++i) {
-    if (ids[i] == ids[i - 1] && (i == 1 || ids[i - 1] != ids[i - 2])) ++split;
+  for (const ProcessorAssignment& proc : processors) {
+    for (const Subtask& s : proc.subtasks) split += s.part == 1 ? 1 : 0;
   }
   return split;
 }

@@ -31,7 +31,13 @@ struct Assignment {
   /// whose prefix was placed but whose remainder did not fit appears here.
   std::vector<TaskId> unassigned;
 
-  /// Number of tasks that were split across >= 2 processors.
+  /// Number of tasks that were split across >= 2 processors, counted as
+  /// the subtasks with part == 1.  That relies on how every partitioner
+  /// places a task's pieces: parts are numbered 0, 1, ..., k-1 in chain
+  /// order (ChainCursor numbers each placed body and the piece after it;
+  /// edf_split numbers its staged pieces the same way and commits all of
+  /// them or none), so a task has a part-1 subtask iff it has at least two
+  /// placed parts -- also when a failed run left a prefix of its chain.
   [[nodiscard]] std::size_t split_task_count() const;
 
   /// Total subtasks across all processors.

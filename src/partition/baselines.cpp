@@ -73,7 +73,7 @@ std::vector<std::size_t> offering_order(const TaskSet& tasks, TaskOrder order) {
   return ranks;  // RM order == rank order
 }
 
-std::optional<std::size_t> pick_bin(const std::vector<ProcessorState>& processors,
+std::optional<std::size_t> pick_bin(std::span<const ProcessorState> processors,
                                     FitPolicy fit, Admission admission,
                                     const Subtask& candidate) {
   if (fit == FitPolicy::kFirstFit) {
@@ -115,7 +115,8 @@ PartitionedRm::PartitionedRm(FitPolicy fit, TaskOrder order, Admission admission
             admission_name(admission)) {}
 
 Assignment PartitionedRm::partition(const TaskSet& tasks, std::size_t m) const {
-  std::vector<ProcessorState> processors(m);
+  const PartitionWorkspace workspace(m);
+  const std::span<ProcessorState> processors = workspace.processors();
   std::vector<TaskId> unassigned;
   for (const std::size_t rank : offering_order(tasks, order_)) {
     const Subtask candidate = whole_subtask(tasks[rank], rank);
@@ -130,7 +131,8 @@ Assignment PartitionedRm::partition(const TaskSet& tasks, std::size_t m) const {
 }
 
 Assignment PartitionedEdf::partition(const TaskSet& tasks, std::size_t m) const {
-  std::vector<ProcessorState> processors(m);
+  const PartitionWorkspace workspace(m);
+  const std::span<ProcessorState> processors = workspace.processors();
   std::vector<TaskId> unassigned;
   constexpr double kEps = 1e-9;
   for (const std::size_t rank :

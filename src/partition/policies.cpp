@@ -1,6 +1,37 @@
 #include "partition/policies.hpp"
 
+#include <cassert>
+
 namespace rmts {
+
+namespace {
+
+/// One thread's processors, grown to the largest m any run on the thread
+/// asked for.
+struct ThreadProcessors {
+  std::vector<ProcessorState> processors;
+  bool in_use{false};
+};
+
+ThreadProcessors& thread_processors() {
+  thread_local ThreadProcessors workspace;
+  return workspace;
+}
+
+}  // namespace
+
+PartitionWorkspace::PartitionWorkspace(std::size_t m) {
+  ThreadProcessors& workspace = thread_processors();
+  assert(!workspace.in_use && "PartitionWorkspace is not reentrant");
+  if (workspace.processors.size() < m) workspace.processors.resize(m);
+  workspace.in_use = true;  // after the only step that can throw
+  processors_ = std::span<ProcessorState>(workspace.processors).first(m);
+  for (ProcessorState& processor : processors_) processor.clear();
+}
+
+PartitionWorkspace::~PartitionWorkspace() {
+  thread_processors().in_use = false;
+}
 
 // Both overloads sit in the innermost loop of every worst-fit partitioner
 // (one scan per placement attempt), so they carry the best utilization in a
@@ -9,7 +40,7 @@ namespace rmts {
 // index vector per call.
 
 std::optional<std::size_t> least_utilized_non_full(
-    const std::vector<ProcessorState>& processors,
+    std::span<const ProcessorState> processors,
     const std::vector<std::size_t>& candidates) {
   std::optional<std::size_t> best;
   double best_util = 0.0;
@@ -25,7 +56,7 @@ std::optional<std::size_t> least_utilized_non_full(
 }
 
 std::optional<std::size_t> least_utilized_non_full(
-    const std::vector<ProcessorState>& processors) {
+    std::span<const ProcessorState> processors) {
   std::optional<std::size_t> best;
   double best_util = 0.0;
   for (std::size_t q = 0; q < processors.size(); ++q) {
@@ -39,7 +70,7 @@ std::optional<std::size_t> least_utilized_non_full(
   return best;
 }
 
-Assignment finalize_assignment(const std::vector<ProcessorState>& processors,
+Assignment finalize_assignment(std::span<const ProcessorState> processors,
                                std::vector<TaskId> unassigned) {
   Assignment result;
   result.success = unassigned.empty();

@@ -23,13 +23,29 @@ constexpr double kUtilizationSlack = 1e-9;
 
 }  // namespace
 
+void ProcessorState::clear() noexcept {
+  subtasks_.clear();
+  utilization_ = 0.0;
+  full_ = false;
+  // A live cache stays live: add() keeps it in step from the empty set,
+  // which leaves it exactly as materialize_cache() would have seeded it.
+  if (cache_ != nullptr) {
+    Cache& cache = *cache_;
+    cache.response.clear();
+    cache.probe.clear();
+    cache.warm_prefix = 0;
+    cache.has_probe = false;
+    cache.soa.clear();
+  }
+}
+
 void ProcessorState::add(const Subtask& subtask) {
   const std::size_t pos = rta_kernel_detail::insert_position(subtasks_, subtask);
   const auto offset = static_cast<std::ptrdiff_t>(pos);
   // The cache is materialized lazily on first query, so partitioners that
   // only ever add() (SPA's utilization-threshold admission) pay nothing
-  // here.  Once live, it is kept in step (O(n - pos), like the vector
-  // insert).
+  // here on a fresh processor.  Once live, it is kept in step (O(n - pos),
+  // like the vector insert).
   if (cache_ != nullptr) {
     Cache& cache = *cache_;
     if (cache.has_probe && cache.probed == subtask) {

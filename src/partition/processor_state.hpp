@@ -80,6 +80,13 @@ class ProcessorState {
 
   [[nodiscard]] bool empty() const noexcept { return subtasks_.empty(); }
 
+  /// Back to the state of a default-constructed processor -- no subtasks,
+  /// zero utilization, not full, and, if the admission cache is live, no
+  /// responses, no kept probe and an empty SoA mirror -- while every buffer
+  /// keeps its capacity.  What the per-thread partition workspace
+  /// (policies.hpp) hands each run.
+  void clear() noexcept;
+
   /// Inserts `subtask` at its priority position.  Caller is responsible for
   /// having verified schedulability (see fits()).  When `subtask` is the
   /// candidate of the last fits() probe, that probe passed, and nothing
@@ -147,8 +154,10 @@ class ProcessorState {
 
  private:
   /// The memoized analysis state, heap-allocated on the first RTA query so
-  /// that (a) purely utilization-driven partitioners (SPA) never pay for
-  /// it and (b) sizeof(ProcessorState) stays small -- the worst-fit
+  /// that (a) purely utilization-driven partitioners (SPA) do not pay for
+  /// it on a fresh processor (clear() keeps a live one live, so on a
+  /// workspace processor that an RTA-based run used, SPA's add() keeps it
+  /// in step) and (b) sizeof(ProcessorState) stays small -- the worst-fit
   /// policies scan utilization()/full() across a vector<ProcessorState>
   /// in their innermost loop, and inlining four cache vectors there was
   /// measurably slower than the whole cache is worth.

@@ -16,7 +16,7 @@ namespace {
 /// line 19: first-fit starting at the processor hosting the lowest-priority
 /// pre-assigned task).
 std::optional<std::size_t> largest_index_non_full(
-    const std::vector<ProcessorState>& processors,
+    std::span<const ProcessorState> processors,
     const std::vector<std::size_t>& candidates) {
   for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
     if (!processors[*it].full()) return *it;
@@ -43,7 +43,8 @@ Assignment Rmts::partition(const TaskSet& tasks, std::size_t m,
   const std::size_t n = tasks.size();
   const double light_threshold = light_task_threshold(n);
 
-  std::vector<ProcessorState> processors(m);
+  const PartitionWorkspace workspace(m);
+  const std::span<ProcessorState> processors = workspace.processors();
   std::deque<std::size_t> unmarked;  // processors not dedicated/pre-assigned
   for (std::size_t q = 0; q < m; ++q) unmarked.push_back(q);
   std::vector<char> task_placed(n, 0);

@@ -11,7 +11,7 @@ namespace rmts {
 namespace {
 
 std::optional<std::size_t> lowest_index_non_full(
-    const std::vector<ProcessorState>& processors) {
+    std::span<const ProcessorState> processors) {
   for (std::size_t q = 0; q < processors.size(); ++q) {
     if (!processors[q].full()) return q;
   }
@@ -33,7 +33,8 @@ RmtsLight::RmtsLight(SelectionPolicy selection, Time split_granularity)
 }
 
 Assignment RmtsLight::partition(const TaskSet& tasks, std::size_t m) const {
-  std::vector<ProcessorState> processors(m);
+  const PartitionWorkspace workspace(m);
+  const std::span<ProcessorState> processors = workspace.processors();
   std::vector<TaskId> unassigned;
 
   // Increasing priority order: lowest priority (largest RM rank) first.

@@ -48,7 +48,7 @@ bool spa_assign(ProcessorState& processor, ChainCursor& cursor, double theta) {
 /// selection policy; returns the unassigned ids (empty on success).
 template <typename PickProcessor>
 std::vector<TaskId> spa_fill(const TaskSet& tasks,
-                             std::vector<ProcessorState>& processors,
+                             std::span<ProcessorState> processors,
                              const std::vector<char>& skip, double theta,
                              PickProcessor pick) {
   std::vector<TaskId> unassigned;
@@ -78,11 +78,12 @@ std::vector<TaskId> spa_fill(const TaskSet& tasks,
 
 Assignment Spa1::partition(const TaskSet& tasks, std::size_t m) const {
   const double theta = liu_layland_theta(tasks.size());
-  std::vector<ProcessorState> processors(m);
+  const PartitionWorkspace workspace(m);
+  const std::span<ProcessorState> processors = workspace.processors();
   const std::vector<char> skip(tasks.size(), 0);
   auto unassigned =
       spa_fill(tasks, processors, skip, theta,
-               [](const std::vector<ProcessorState>& ps) {
+               [](std::span<const ProcessorState> ps) {
                  return least_utilized_non_full(ps);
                });
   return finalize_assignment(processors, std::move(unassigned));
@@ -93,7 +94,8 @@ Assignment Spa2::partition(const TaskSet& tasks, std::size_t m) const {
   const double theta = liu_layland_theta(n);
   const double light_threshold = light_task_threshold(n);
 
-  std::vector<ProcessorState> processors(m);
+  const PartitionWorkspace workspace(m);
+  const std::span<ProcessorState> processors = workspace.processors();
   std::vector<std::size_t> normal;
   std::vector<std::size_t> pre_assigned;
   std::vector<char> task_pre_assigned(n, 0);
@@ -119,7 +121,7 @@ Assignment Spa2::partition(const TaskSet& tasks, std::size_t m) const {
 
   auto unassigned = spa_fill(
       tasks, processors, task_pre_assigned, theta,
-      [&](const std::vector<ProcessorState>& ps) -> std::optional<std::size_t> {
+      [&](std::span<const ProcessorState> ps) -> std::optional<std::size_t> {
         if (auto q = least_utilized_non_full(ps, normal)) return q;
         // Fill phase: largest-index pre-assigned processor first.
         for (auto it = pre_assigned.rbegin(); it != pre_assigned.rend(); ++it) {
