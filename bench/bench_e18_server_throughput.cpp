@@ -1,6 +1,6 @@
 // E18: admission-control service throughput -- a live rmts_serve event
 // loop + worker pool driven by the closed-loop load driver
-// (src/server/load.hpp), all in-process over real loopback TCP.
+// (tools/load/load.hpp), all in-process over real loopback TCP.
 //
 // Two sweeps:
 //
@@ -26,7 +26,7 @@
 
 #include "bench_common.hpp"
 #include "common/trace.hpp"
-#include "server/load.hpp"
+#include "load/load.hpp"
 #include "server/server.hpp"
 
 namespace {

@@ -34,7 +34,7 @@
 #include "common/histogram.hpp"
 #include "common/rng.hpp"
 #include "common/trace.hpp"
-#include "server/load.hpp"
+#include "load/load.hpp"
 #include "server/server.hpp"
 
 namespace {

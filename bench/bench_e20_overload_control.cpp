@@ -1,7 +1,7 @@
 // E20: adaptive overload control -- static per-class admission budgets
 // vs the AIMD controller (src/server/overload.hpp), driven past
 // saturation by the open-loop Poisson arrival process in
-// src/server/load.hpp, all in-process over real loopback TCP.
+// tools/load/load.hpp, all in-process over real loopback TCP.
 //
 // Protocol:
 //
@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "server/load.hpp"
+#include "load/load.hpp"
 #include "server/overload.hpp"
 #include "server/server.hpp"
 

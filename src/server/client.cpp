@@ -112,6 +112,26 @@ std::string Client::request(std::string_view line) {
   return read_reply();
 }
 
+std::int64_t retry_backoff_ms(const RetryPolicy& policy, int attempt,
+                              int hint_ms, Rng& rng) {
+  // Exponential backoff from the policy, capped at max_backoff_ms and
+  // jittered so a fleet of clients decorrelates instead of re-bursting in
+  // lockstep.  The server's hint is applied LAST, as a floor the cap never
+  // truncates: max_backoff_ms bounds the client's own impatience, not how
+  // long the server asked it to stay away.
+  std::int64_t backoff_ms = policy.base_backoff_ms;
+  for (int k = 1; k < attempt && backoff_ms < policy.max_backoff_ms; ++k) {
+    backoff_ms *= 2;
+  }
+  backoff_ms =
+      std::min<std::int64_t>(backoff_ms, std::max(policy.max_backoff_ms, 1));
+  const double jitter = std::clamp(policy.jitter, 0.0, 1.0);
+  const double factor = 1.0 + jitter * (2.0 * rng.uniform() - 1.0);
+  backoff_ms = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(static_cast<double>(backoff_ms) * factor));
+  return std::max<std::int64_t>(backoff_ms, hint_ms);
+}
+
 RetryResult Client::request_with_retry(std::string_view line,
                                        const RetryPolicy& policy) {
   const int max_attempts = std::max(policy.max_attempts, 1);
@@ -125,23 +145,8 @@ RetryResult Client::request_with_retry(std::string_view line,
       result.attempts_exhausted = true;
       return result;
     }
-    // Exponential backoff from the policy, capped at max_backoff_ms and
-    // jittered so a fleet of clients decorrelates instead of re-bursting
-    // in lockstep.  The server's hint is applied LAST, as a floor the cap
-    // never truncates: max_backoff_ms bounds the client's own impatience,
-    // not how long the server asked it to stay away.
-    std::int64_t backoff_ms = policy.base_backoff_ms;
-    for (int k = 1; k < attempt && backoff_ms < policy.max_backoff_ms; ++k) {
-      backoff_ms *= 2;
-    }
-    backoff_ms =
-        std::min<std::int64_t>(backoff_ms, std::max(policy.max_backoff_ms, 1));
-    const double jitter = std::clamp(policy.jitter, 0.0, 1.0);
-    const double factor =
-        1.0 + jitter * (2.0 * retry_rng_.uniform() - 1.0);
-    backoff_ms = std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(static_cast<double>(backoff_ms) * factor));
-    backoff_ms = std::max<std::int64_t>(backoff_ms, hint_ms);
+    const std::int64_t backoff_ms =
+        retry_backoff_ms(policy, attempt, hint_ms, retry_rng_);
     std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
     result.backoff_total_ms += backoff_ms;
   }
@@ -210,30 +215,20 @@ std::string Client::read_reply() {
   }
 }
 
-void Client::shutdown_write() noexcept {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
-}
-
 namespace {
 
-void write_common(JsonWriter& w, std::string_view op, std::size_t processors,
-                  const TaskSet& tasks, std::string_view alg,
-                  std::string_view bound, std::int64_t id,
-                  std::int64_t deadline_ms) {
-  w.key("op");
-  w.value(op);
-  if (id >= 0) {
-    w.key("id");
-    w.value(id);
-  }
-  if (deadline_ms > 0) {
-    w.key("deadline_ms");
-    w.value(deadline_ms);
-  }
-  w.key("m");
-  w.value(processors);
-  w.key("tasks");
-  w.begin_array();
+/// Every request's prologue: op, then the optional id and deadline.  The
+/// object is left open for the op's fields.
+void begin_request(JsonWriter& w, std::string_view op, std::int64_t id,
+                   std::int64_t deadline_ms) {
+  w.begin_object();
+  w.member("op", op);
+  if (id >= 0) w.member("id", id);
+  if (deadline_ms > 0) w.member("deadline_ms", deadline_ms);
+}
+
+void write_tasks(JsonWriter& w, const TaskSet& tasks) {
+  w.begin_array("tasks");
   for (const Task& task : tasks) {
     w.begin_array();
     w.value(static_cast<std::int64_t>(task.wcet));
@@ -241,14 +236,51 @@ void write_common(JsonWriter& w, std::string_view op, std::size_t processors,
     w.end_array();
   }
   w.end_array();
-  if (!alg.empty()) {
-    w.key("alg");
-    w.value(alg);
-  }
-  if (!bound.empty()) {
-    w.key("bound");
-    w.value(bound);
-  }
+}
+
+void write_alg_bound(JsonWriter& w, std::string_view alg,
+                     std::string_view bound) {
+  if (!alg.empty()) w.member("alg", alg);
+  if (!bound.empty()) w.member("bound", bound);
+}
+
+/// admit/analyze/robustness/simulate: prologue, m, tasks, alg, bound.
+void begin_task_set_request(JsonWriter& w, std::string_view op,
+                            std::size_t processors, const TaskSet& tasks,
+                            std::string_view alg, std::string_view bound,
+                            std::int64_t id, std::int64_t deadline_ms) {
+  begin_request(w, op, id, deadline_ms);
+  w.member("m", processors);
+  write_tasks(w, tasks);
+  write_alg_bound(w, alg, bound);
+}
+
+std::string task_set_request(std::string_view op, std::size_t processors,
+                             const TaskSet& tasks, std::string_view alg,
+                             std::string_view bound, std::int64_t id,
+                             std::int64_t deadline_ms) {
+  JsonWriter w;
+  begin_task_set_request(w, op, processors, tasks, alg, bound, id,
+                         deadline_ms);
+  w.end_object();
+  return w.str();
+}
+
+/// A session op's prologue plus its target session (0 = omit, for
+/// session_open).
+void begin_session_request(JsonWriter& w, std::string_view op,
+                           std::uint64_t session, std::int64_t id,
+                           std::int64_t deadline_ms) {
+  begin_request(w, op, id, deadline_ms);
+  if (session != 0) w.member("session", session);
+}
+
+std::string bare_request(std::string_view op, std::uint64_t session,
+                         std::int64_t id, std::int64_t deadline_ms) {
+  JsonWriter w;
+  begin_session_request(w, op, session, id, deadline_ms);
+  w.end_object();
+  return w.str();
 }
 
 }  // namespace
@@ -256,11 +288,8 @@ void write_common(JsonWriter& w, std::string_view op, std::size_t processors,
 std::string make_admit_request(std::size_t processors, const TaskSet& tasks,
                                std::string_view alg, std::string_view bound,
                                std::int64_t id, std::int64_t deadline_ms) {
-  JsonWriter w;
-  w.begin_object();
-  write_common(w, "admit", processors, tasks, alg, bound, id, deadline_ms);
-  w.end_object();
-  return w.str();
+  return task_set_request("admit", processors, tasks, alg, bound, id,
+                          deadline_ms);
 }
 
 std::string make_admit_batch_request(std::size_t processors,
@@ -269,40 +298,13 @@ std::string make_admit_batch_request(std::size_t processors,
                                      std::string_view bound, std::int64_t id,
                                      std::int64_t deadline_ms) {
   JsonWriter w;
-  w.begin_object();
-  w.key("op");
-  w.value("admit_batch");
-  if (id >= 0) {
-    w.key("id");
-    w.value(id);
-  }
-  if (deadline_ms > 0) {
-    w.key("deadline_ms");
-    w.value(deadline_ms);
-  }
-  w.key("m");
-  w.value(processors);
-  if (!alg.empty()) {
-    w.key("alg");
-    w.value(alg);
-  }
-  if (!bound.empty()) {
-    w.key("bound");
-    w.value(bound);
-  }
-  w.key("items");
-  w.begin_array();
+  begin_request(w, "admit_batch", id, deadline_ms);
+  w.member("m", processors);
+  write_alg_bound(w, alg, bound);
+  w.begin_array("items");
   for (const TaskSet& tasks : batch) {
     w.begin_object();
-    w.key("tasks");
-    w.begin_array();
-    for (const Task& task : tasks) {
-      w.begin_array();
-      w.value(static_cast<std::int64_t>(task.wcet));
-      w.value(static_cast<std::int64_t>(task.period));
-      w.end_array();
-    }
-    w.end_array();
+    write_tasks(w, tasks);
     w.end_object();
   }
   w.end_array();
@@ -313,11 +315,8 @@ std::string make_admit_batch_request(std::size_t processors,
 std::string make_analyze_request(std::size_t processors, const TaskSet& tasks,
                                  std::string_view alg, std::string_view bound,
                                  std::int64_t id, std::int64_t deadline_ms) {
-  JsonWriter w;
-  w.begin_object();
-  write_common(w, "analyze", processors, tasks, alg, bound, id, deadline_ms);
-  w.end_object();
-  return w.str();
+  return task_set_request("analyze", processors, tasks, alg, bound, id,
+                          deadline_ms);
 }
 
 std::string make_robustness_request(std::size_t processors,
@@ -326,16 +325,10 @@ std::string make_robustness_request(std::size_t processors,
                                     std::uint64_t fault_seed, std::int64_t id,
                                     std::int64_t deadline_ms) {
   JsonWriter w;
-  w.begin_object();
-  write_common(w, "robustness", processors, tasks, alg, bound, id, deadline_ms);
-  if (max_factor > 0.0) {
-    w.key("max_factor");
-    w.value(max_factor);
-  }
-  if (fault_seed != 0) {
-    w.key("fault_seed");
-    w.value(fault_seed);
-  }
+  begin_task_set_request(w, "robustness", processors, tasks, alg, bound, id,
+                         deadline_ms);
+  if (max_factor > 0.0) w.member("max_factor", max_factor);
+  if (fault_seed != 0) w.member("fault_seed", fault_seed);
   w.end_object();
   return w.str();
 }
@@ -343,74 +336,25 @@ std::string make_robustness_request(std::size_t processors,
 std::string make_simulate_request(std::size_t processors, const TaskSet& tasks,
                                   std::string_view alg, std::string_view bound,
                                   std::int64_t id, std::int64_t deadline_ms) {
-  JsonWriter w;
-  w.begin_object();
-  write_common(w, "simulate", processors, tasks, alg, bound, id, deadline_ms);
-  w.end_object();
-  return w.str();
+  return task_set_request("simulate", processors, tasks, alg, bound, id,
+                          deadline_ms);
 }
 
 std::string make_stats_request(std::int64_t id) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("op");
-  w.value("stats");
-  if (id >= 0) {
-    w.key("id");
-    w.value(id);
-  }
-  w.end_object();
-  return w.str();
+  return bare_request("stats", 0, id, 0);
 }
 
 std::string make_metrics_request(std::int64_t id) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("op");
-  w.value("metrics");
-  if (id >= 0) {
-    w.key("id");
-    w.value(id);
-  }
-  w.end_object();
-  return w.str();
+  return bare_request("metrics", 0, id, 0);
 }
-
-namespace {
-
-/// Shared prologue of every session op: op name, optional id/deadline and
-/// the target session (0 = omit, for session_open).
-void begin_session_request(JsonWriter& w, std::string_view op,
-                           std::uint64_t session, std::int64_t id,
-                           std::int64_t deadline_ms) {
-  w.begin_object();
-  w.key("op");
-  w.value(op);
-  if (id >= 0) {
-    w.key("id");
-    w.value(id);
-  }
-  if (deadline_ms > 0) {
-    w.key("deadline_ms");
-    w.value(deadline_ms);
-  }
-  if (session != 0) {
-    w.key("session");
-    w.value(session);
-  }
-}
-
-}  // namespace
 
 std::string make_session_open_request(std::size_t processors, bool split,
                                       std::int64_t id,
                                       std::int64_t deadline_ms) {
   JsonWriter w;
   begin_session_request(w, "session_open", 0, id, deadline_ms);
-  w.key("m");
-  w.value(processors);
-  w.key("split");
-  w.value(split);
+  w.member("m", processors);
+  w.member("split", split);
   w.end_object();
   return w.str();
 }
@@ -420,10 +364,8 @@ std::string make_session_admit_request(std::uint64_t session, Time wcet,
                                        std::int64_t deadline_ms) {
   JsonWriter w;
   begin_session_request(w, "session_admit", session, id, deadline_ms);
-  w.key("wcet");
-  w.value(static_cast<std::int64_t>(wcet));
-  w.key("period");
-  w.value(static_cast<std::int64_t>(period));
+  w.member("wcet", static_cast<std::int64_t>(wcet));
+  w.member("period", static_cast<std::int64_t>(period));
   w.end_object();
   return w.str();
 }
@@ -433,8 +375,7 @@ std::string make_session_depart_request(std::uint64_t session,
                                         std::int64_t deadline_ms) {
   JsonWriter w;
   begin_session_request(w, "session_depart", session, id, deadline_ms);
-  w.key("ticket");
-  w.value(ticket);
+  w.member("ticket", ticket);
   w.end_object();
   return w.str();
 }
@@ -442,26 +383,17 @@ std::string make_session_depart_request(std::uint64_t session,
 std::string make_session_rebalance_request(std::uint64_t session,
                                            std::int64_t id,
                                            std::int64_t deadline_ms) {
-  JsonWriter w;
-  begin_session_request(w, "session_rebalance", session, id, deadline_ms);
-  w.end_object();
-  return w.str();
+  return bare_request("session_rebalance", session, id, deadline_ms);
 }
 
 std::string make_session_stats_request(std::uint64_t session,
                                        std::int64_t id) {
-  JsonWriter w;
-  begin_session_request(w, "session_stats", session, id, 0);
-  w.end_object();
-  return w.str();
+  return bare_request("session_stats", session, id, 0);
 }
 
 std::string make_session_close_request(std::uint64_t session,
                                        std::int64_t id) {
-  JsonWriter w;
-  begin_session_request(w, "session_close", session, id, 0);
-  w.end_object();
-  return w.str();
+  return bare_request("session_close", session, id, 0);
 }
 
 }  // namespace rmts::server

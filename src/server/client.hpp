@@ -53,6 +53,13 @@ struct RetryPolicy {
   double jitter{0.3};
 };
 
+/// The one backoff rule: how long to wait after `attempt` (1-based) tries
+/// ended in sheds, the last carrying the server's `hint_ms`.  Draws one
+/// jitter sample from `rng`; jitter is clamped to [0, 1].  Shared by
+/// Client::request_with_retry and the load driver's open loop.
+[[nodiscard]] std::int64_t retry_backoff_ms(const RetryPolicy& policy,
+                                            int attempt, int hint_ms, Rng& rng);
+
 /// Outcome of request_with_retry(): the final reply (possibly still an
 /// `overloaded` error when attempts ran out) plus what it took.
 struct RetryResult {
@@ -100,12 +107,6 @@ class Client {
 
   /// Blocks for the next complete reply line.
   std::string read_reply();
-
-  /// Half-closes the write side so the server sees EOF and, once every
-  /// pending reply is flushed, closes the connection.
-  void shutdown_write() noexcept;
-
-  [[nodiscard]] bool connected() const noexcept { return fd_ >= 0; }
 
  private:
   int fd_{-1};

@@ -110,8 +110,8 @@ bool json_parse(std::string_view text, JsonValue& out, std::string& error);
 /// Streaming writer for protocol replies.  Usage:
 ///   JsonWriter w;
 ///   w.begin_object();
-///   w.key("ok"); w.value(true);
-///   w.key("margin"); w.value(1.25);
+///   w.member("ok", true);
+///   w.begin_array("margins"); ... w.end_array();
 ///   w.end_object();
 ///   w.str();  // the document
 /// Commas are inserted automatically; keys and strings are escaped by the
@@ -122,6 +122,15 @@ class JsonWriter {
   void end_object() { close('}'); }
   void begin_array() { open('['); }
   void end_array() { close(']'); }
+  /// key(name) followed by the container's opening bracket.
+  void begin_object(std::string_view name) {
+    key(name);
+    open('{');
+  }
+  void begin_array(std::string_view name) {
+    key(name);
+    open('[');
+  }
 
   /// Starts an object member; must be followed by exactly one value (or
   /// container).
@@ -138,6 +147,13 @@ class JsonWriter {
   /// Re-emits a parsed scalar (used to echo request ids verbatim);
   /// arrays/objects echo as null.
   void value(const JsonValue& scalar);
+
+  /// key(name) followed by value(v): one scalar object member.
+  template <class T>
+  void member(std::string_view name, const T& v) {
+    key(name);
+    value(v);
+  }
 
   [[nodiscard]] const std::string& str() const noexcept { return out_; }
 

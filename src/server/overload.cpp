@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "server/json.hpp"
+#include "server/protocol.hpp"
 
 namespace rmts::server {
 
@@ -49,34 +49,6 @@ std::size_t scan_string(std::string_view text, std::size_t pos,
 }
 
 }  // namespace
-
-std::string_view budget_class_name(BudgetClass cls) noexcept {
-  switch (cls) {
-    case BudgetClass::kAdmit: return "admit";
-    case BudgetClass::kAnalyze: return "analyze";
-    case BudgetClass::kRobustness: return "robustness";
-    case BudgetClass::kSimulate: return "simulate";
-    case BudgetClass::kSession: return "session";
-  }
-  return "unknown";
-}
-
-bool budget_class_of(Endpoint endpoint, BudgetClass& out) noexcept {
-  switch (endpoint) {
-    case Endpoint::kAdmit: out = BudgetClass::kAdmit; return true;
-    // A batch is admission work: it shares the admit budget so a flood of
-    // batches cannot starve single-probe clients of their own class.
-    case Endpoint::kAdmitBatch: out = BudgetClass::kAdmit; return true;
-    case Endpoint::kAnalyze: out = BudgetClass::kAnalyze; return true;
-    case Endpoint::kRobustness: out = BudgetClass::kRobustness; return true;
-    case Endpoint::kSimulate: out = BudgetClass::kSimulate; return true;
-    case Endpoint::kSession: out = BudgetClass::kSession; return true;
-    case Endpoint::kStats:
-    case Endpoint::kMetrics:
-    case Endpoint::kMalformed: return false;
-  }
-  return false;
-}
 
 OverloadController::OverloadController(OverloadConfig config)
     : config_(config) {
@@ -188,25 +160,13 @@ RequestPeek peek_request(std::string_view line) noexcept {
         const std::size_t end = scan_string(line, pos, op);
         if (end == std::string_view::npos) return peek;
         pos = end;
-        if (op == "admit" || op == "admit_batch") {
-          peek.cls = BudgetClass::kAdmit;
-          peek.budgeted = true;
-        } else if (op == "analyze") {
-          peek.cls = BudgetClass::kAnalyze;
-          peek.budgeted = true;
-        } else if (op == "robustness") {
-          peek.cls = BudgetClass::kRobustness;
-          peek.budgeted = true;
-        } else if (op == "simulate") {
-          peek.cls = BudgetClass::kSimulate;
-          peek.budgeted = true;
-        } else if (op.starts_with("session_")) {
-          // All session ops share one budget; even session_stats takes the
-          // per-session mutex, so it queues behind mutations anyway.
-          peek.cls = BudgetClass::kSession;
-          peek.budgeted = true;
+        if (const Op* known = find_op(op)) {
+          peek.endpoint = known->endpoint;
+          if (known->budget) {
+            peek.cls = *known->budget;
+            peek.budgeted = true;
+          }
         }
-        // stats / metrics / anything else: un-budgeted.
       }
     } else if (body == "deadline_ms") {
       std::int64_t value_ms = 0;
@@ -227,29 +187,11 @@ RequestPeek peek_request(std::string_view line) noexcept {
 }
 
 std::string overloaded_reply(int retry_after_ms) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("ok");
-  w.value(false);
-  w.key("error");
-  w.value("overloaded");
-  w.key("retry_after_ms");
-  w.value(static_cast<std::int64_t>(retry_after_ms));
-  w.end_object();
-  return w.str();
+  return error_reply("overloaded", "retry_after_ms", retry_after_ms);
 }
 
 std::string deadline_expired_reply(std::int64_t waited_ms) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("ok");
-  w.value(false);
-  w.key("error");
-  w.value("deadline_expired");
-  w.key("waited_ms");
-  w.value(waited_ms);
-  w.end_object();
-  return w.str();
+  return error_reply("deadline_expired", "waited_ms", waited_ms);
 }
 
 }  // namespace rmts::server

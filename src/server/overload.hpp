@@ -31,14 +31,15 @@
 //    clients back off for roughly as long as the congestion will last
 //    instead of hammering a saturated server (client.hpp honors it);
 //  * peek_request(line) -- a cheap single-pass scan of a decoded line for
-//    its op class and optional "deadline_ms" field.  The event loop must
-//    classify BEFORE dispatch (the real JSON parse happens on a worker),
-//    so the peek does not validate -- but it IS anchored to top-level
-//    keys (it tracks nesting depth and tokenizes strings), because a
-//    "deadline_ms" matched inside a string value or nested object would
-//    not merely misroute a budget: it would make a worker drop a valid
-//    request as deadline_expired.  On garbage that never parses anyway,
-//    the worker's strict parse still decides semantics.
+//    its op (looked up in the op table, server/ops.hpp) and optional
+//    "deadline_ms" field.  The event loop must classify BEFORE dispatch
+//    (the real JSON parse happens on a worker), so the peek does not
+//    validate -- but it IS anchored to top-level keys (it tracks nesting
+//    depth and tokenizes strings), because a "deadline_ms" matched inside
+//    a string value or nested object would not merely misroute a budget:
+//    it would make a worker drop a valid request as deadline_expired.  On
+//    garbage that never parses anyway, the worker's strict parse still
+//    decides semantics.
 #pragma once
 
 #include <array>
@@ -46,27 +47,9 @@
 #include <string>
 #include <string_view>
 
-#include "server/metrics.hpp"
+#include "server/ops.hpp"
 
 namespace rmts::server {
-
-/// Op classes that consume worker budget.  stats/metrics/malformed stay
-/// un-budgeted: they are control-plane traffic an operator needs MOST
-/// while the server is overloaded, and they cost microseconds.
-enum class BudgetClass : std::uint8_t {
-  kAdmit,
-  kAnalyze,
-  kRobustness,
-  kSimulate,
-  kSession,  ///< online-session mutations (admit/depart/rebalance/open)
-};
-inline constexpr std::size_t kBudgetClassCount = 5;
-
-[[nodiscard]] std::string_view budget_class_name(BudgetClass cls) noexcept;
-
-/// Endpoint -> budget class; false for un-budgeted endpoints.
-[[nodiscard]] bool budget_class_of(Endpoint endpoint,
-                                   BudgetClass& out) noexcept;
 
 struct OverloadConfig {
   /// false = budgets stay at their initial values (the static-cap
@@ -151,6 +134,8 @@ struct RequestPeek {
   /// (stats/metrics) or unclassifiable and bypasses class budgets.
   BudgetClass cls{BudgetClass::kAdmit};
   bool budgeted{false};
+  /// The op's endpoint (kMalformed when the op is missing or unknown).
+  Endpoint endpoint{Endpoint::kMalformed};
   /// Client deadline in milliseconds from arrival; 0 = none.
   std::int64_t deadline_ms{0};
 };

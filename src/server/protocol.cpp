@@ -41,13 +41,13 @@ bool LineDecoder::next(Line& out) {
   return true;
 }
 
-std::string error_reply(std::string_view message) {
+std::string error_reply(std::string_view message, std::string_view detail,
+                        std::int64_t value) {
   JsonWriter w;
   w.begin_object();
-  w.key("ok");
-  w.value(false);
-  w.key("error");
-  w.value(message);
+  w.member("ok", false);
+  w.member("error", message);
+  if (!detail.empty()) w.member(detail, value);
   w.end_object();
   return w.str();
 }

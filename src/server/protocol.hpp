@@ -5,14 +5,20 @@
 // "error" (string).  Successful replies echo the request's "op" and, when
 // present, its scalar "id" (so clients can pipeline).
 //
-// Requests (fields beyond "op" and "id"):
-//   admit      m, tasks, [alg], [bound], [deadline_ms]
-//   analyze    m, tasks, [alg], [bound], [deadline_ms]
-//   robustness m, tasks, [alg], [bound], [max_factor], [fault_seed],
-//              [deadline_ms]
-//   simulate   m, tasks, [alg], [bound], [horizon_cap], [faults{...}],
-//              [deadline_ms]
-//   stats      (none)
+// Requests (fields beyond "op", "id" and the optional "deadline_ms"; the
+// op table in server/ops.hpp lists every op):
+//   admit        m, tasks, [alg], [bound]
+//   admit_batch  items[{tasks, [m], [alg], [bound]}], [m], [alg], [bound]
+//   analyze      m, tasks, [alg], [bound]
+//   robustness   m, tasks, [alg], [bound], [max_factor], [fault_seed],
+//                [max_jitter]
+//   simulate     m, tasks, [alg], [bound], [horizon_cap], [faults{...}]
+//   session_open m, [split], [granularity], [rebalance_every],
+//                [max_migrations], [hysteresis], [max_resident]
+//   session_admit / session_depart / session_rebalance / session_stats /
+//   session_close   session, plus wcet and period (admit) or ticket
+//                (depart)
+//   stats, metrics  (none)
 // where
 //   m      processors (int >= 1),
 //   tasks  [[wcet, period], ...] in ticks (ints; RM order is derived),
@@ -39,6 +45,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <string>
 #include <string_view>
@@ -88,7 +95,10 @@ class LineDecoder {
 };
 
 /// Renders the uniform error reply {"ok":false,"error":...} (no trailing
-/// newline; the transport appends it).
-[[nodiscard]] std::string error_reply(std::string_view message);
+/// newline; the transport appends it), plus one integer detail member
+/// when `detail` is non-empty.
+[[nodiscard]] std::string error_reply(std::string_view message,
+                                      std::string_view detail = {},
+                                      std::int64_t value = 0);
 
 }  // namespace rmts::server

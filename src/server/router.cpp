@@ -2,7 +2,6 @@
 
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -158,236 +157,34 @@ PartitionRequest parse_partition_request(const JsonValue& request,
   return out;
 }
 
-/// Opens the uniform reply prologue {"ok":true,"op":...,"id":...} and
+/// Opens the uniform reply prologue {"ok":...,"op":...,"id":...} and
 /// leaves the object open for endpoint-specific fields.
-void begin_reply(JsonWriter& w, std::string_view op, const JsonValue* id) {
+void begin_reply(JsonWriter& w, bool ok, std::string_view op,
+                 const JsonValue* id) {
   w.begin_object();
-  w.key("ok");
-  w.value(true);
-  w.key("op");
-  w.value(op);
-  if (id != nullptr) {
-    w.key("id");
-    w.value(*id);
-  }
+  w.member("ok", ok);
+  w.member("op", op);
+  if (id != nullptr) w.member("id", *id);
 }
 
 void write_task_set_summary(JsonWriter& w, const TaskSet& tasks,
                             std::size_t processors) {
-  w.key("n");
-  w.value(tasks.size());
-  w.key("utilization");
-  w.value(tasks.total_utilization());
-  w.key("normalized_utilization");
-  w.value(tasks.normalized_utilization(processors));
+  w.member("n", tasks.size());
+  w.member("utilization", tasks.total_utilization());
+  w.member("normalized_utilization", tasks.normalized_utilization(processors));
 }
 
 void write_assignment_summary(JsonWriter& w, const Assignment& assignment) {
-  w.key("accepted");
-  w.value(assignment.success);
-  w.key("splits");
-  w.value(assignment.split_task_count());
-  w.key("subtasks");
-  w.value(assignment.subtask_count());
-  w.key("assigned_utilization");
-  w.value(assignment.assigned_utilization());
+  w.member("accepted", assignment.success);
+  w.member("splits", assignment.split_task_count());
+  w.member("subtasks", assignment.subtask_count());
+  w.member("assigned_utilization", assignment.assigned_utilization());
   if (!assignment.unassigned.empty()) {
-    w.key("unassigned");
-    w.begin_array();
+    w.begin_array("unassigned");
     for (const TaskId id : assignment.unassigned) {
       w.value(static_cast<std::uint64_t>(id));
     }
     w.end_array();
-  }
-}
-
-void handle_admit(JsonWriter& w, const JsonValue& request,
-                  const RouterConfig& config) {
-  const PartitionRequest p = parse_partition_request(request, config);
-  // RM-TS both partitions with its clamped bound and reports it: evaluate
-  // the bound (a harmonic-chain matching at large N) once for both.
-  const auto* rmts = dynamic_cast<const Rmts*>(p.algorithm.get());
-  const double lambda = rmts != nullptr ? rmts->guaranteed_bound(p.tasks) : 0.0;
-  const Assignment assignment =
-      rmts != nullptr ? rmts->partition(p.tasks, p.processors, lambda)
-                      : p.algorithm->partition(p.tasks, p.processors);
-  w.key("algorithm");
-  w.value(p.algorithm->name());
-  write_task_set_summary(w, p.tasks, p.processors);
-  if (rmts != nullptr) {
-    w.key("guaranteed_bound");
-    w.value(lambda);
-  }
-  write_assignment_summary(w, assignment);
-}
-
-/// Batched admission: one request carrying many task sets, amortizing
-/// parse/dispatch/reply framing over the whole probe group (the client
-///-side analogue of the SoA kernel's rta_batch_fits, which the admission
-/// path under each item's partition() runs on).  Top-level m/alg/bound
-/// are defaults each item may override; a bad item yields a per-item
-/// ok:false entry without failing its siblings.
-void handle_admit_batch(JsonWriter& w, const JsonValue& request,
-                        const RouterConfig& config) {
-  const JsonValue& items = require(request, "items");
-  if (!items.is_array()) reject("field 'items' must be an array");
-  if (items.items().empty()) reject("field 'items' must not be empty");
-  if (items.items().size() > config.max_batch_items) {
-    reject("too many items (limit " + std::to_string(config.max_batch_items) +
-           ")");
-  }
-  const std::int64_t default_m =
-      optional_int(request, "m", 0, 1,
-                   static_cast<std::int64_t>(config.max_processors));
-  const std::string default_alg = optional_string(request, "alg", "rmts");
-  const std::string default_bound = optional_string(request, "bound", "hc");
-
-  std::size_t accepted = 0;
-  w.key("items");
-  w.begin_array();
-  for (const JsonValue& item : items.items()) {
-    w.begin_object();
-    try {
-      if (!item.is_object()) reject("each item must be an object");
-      const std::int64_t m =
-          optional_int(item, "m", default_m, 1,
-                       static_cast<std::int64_t>(config.max_processors));
-      if (m == 0) reject("missing field 'm' (item or request level)");
-      const TaskSet tasks = parse_tasks(item, config.max_tasks);
-      const std::string alg = optional_string(item, "alg", default_alg);
-      const std::string bound = optional_string(item, "bound", default_bound);
-      const std::shared_ptr<const Partitioner> algorithm =
-          make_algorithm(alg, make_bound(bound));
-      const auto processors = static_cast<std::size_t>(m);
-      const Assignment assignment = algorithm->partition(tasks, processors);
-      w.key("ok");
-      w.value(true);
-      w.key("algorithm");
-      w.value(algorithm->name());
-      write_task_set_summary(w, tasks, processors);
-      write_assignment_summary(w, assignment);
-      if (assignment.success) ++accepted;
-    } catch (const ProtocolError& error) {
-      w.key("ok");
-      w.value(false);
-      w.key("error");
-      w.value(error.message);
-    } catch (const Error& error) {
-      w.key("ok");
-      w.value(false);
-      w.key("error");
-      w.value(std::string_view(error.what()));
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.key("accepted_count");
-  w.value(accepted);
-}
-
-void handle_analyze(JsonWriter& w, const JsonValue& request,
-                    const RouterConfig& config) {
-  const PartitionRequest p = parse_partition_request(request, config);
-  write_task_set_summary(w, p.tasks, p.processors);
-  w.key("harmonic");
-  w.value(p.tasks.is_harmonic());
-  w.key("max_task_utilization");
-  w.value(p.tasks.max_utilization());
-
-  // Per-bound utilization thresholds, all evaluated on the ORIGINAL set
-  // (re-evaluating on partitions would be unsound -- bounds/bound.hpp).
-  w.key("bounds");
-  w.begin_object();
-  for (const char* name : {"ll", "hc", "tbound", "rbound", "burchard"}) {
-    const BoundPtr bound = make_bound(name);
-    w.key(bound->name());
-    w.value(bound->evaluate(p.tasks));
-  }
-  w.end_object();
-  w.key("light_threshold");
-  w.value(light_task_threshold(p.tasks.size()));
-  w.key("rmts_cap");
-  w.value(rmts_bound_cap(p.tasks.size()));
-  w.key("light");
-  w.value(p.tasks.all_lighter_than(light_task_threshold(p.tasks.size())));
-
-  // RTA detail of the requested algorithm's partition: every subtask's
-  // measured response time against its synthetic deadline.
-  const Assignment assignment = p.algorithm->partition(p.tasks, p.processors);
-  w.key("rta");
-  w.begin_object();
-  w.key("algorithm");
-  w.value(p.algorithm->name());
-  write_assignment_summary(w, assignment);
-  if (assignment.success && p.policy == DispatchPolicy::kFixedPriority) {
-    w.key("processors");
-    w.begin_array();
-    for (const ProcessorAssignment& proc : assignment.processors) {
-      w.begin_object();
-      w.key("utilization");
-      w.value(proc.utilization());
-      const ProcessorRta rta = analyze_processor(proc.subtasks);
-      w.key("subtasks");
-      w.begin_array();
-      for (std::size_t s = 0; s < proc.subtasks.size(); ++s) {
-        const Subtask& subtask = proc.subtasks[s];
-        w.begin_object();
-        w.key("task");
-        w.value(static_cast<std::uint64_t>(subtask.task_id));
-        w.key("part");
-        w.value(static_cast<std::int64_t>(subtask.part));
-        w.key("wcet");
-        w.value(subtask.wcet);
-        w.key("period");
-        w.value(subtask.period);
-        w.key("deadline");
-        w.value(subtask.deadline);
-        w.key("response");
-        w.value(s < rta.response.size() ? rta.response[s] : Time{0});
-        w.end_object();
-      }
-      w.end_array();
-      w.end_object();
-    }
-    w.end_array();
-  }
-  w.end_object();
-}
-
-void handle_robustness(JsonWriter& w, const JsonValue& request,
-                       const RouterConfig& config) {
-  const PartitionRequest p = parse_partition_request(request, config);
-  RobustnessConfig robustness;
-  robustness.horizon_cap = config.sim_horizon_cap;
-  robustness.policy = p.policy;
-  robustness.fault_seed = static_cast<std::uint64_t>(optional_int(
-      request, "fault_seed", 1, 1, std::numeric_limits<std::int64_t>::max()));
-  robustness.max_overrun_factor = optional_double(
-      request, "max_factor", 4.0, 1.0, config.max_overrun_factor);
-  robustness.max_release_jitter = optional_int(
-      request, "max_jitter", 0, 0, std::numeric_limits<std::int64_t>::max() / 2);
-
-  const Assignment assignment = p.algorithm->partition(p.tasks, p.processors);
-  w.key("algorithm");
-  w.value(p.algorithm->name());
-  write_task_set_summary(w, p.tasks, p.processors);
-  w.key("accepted");
-  w.value(assignment.success);
-  if (!assignment.success) return;
-
-  const RobustnessReport report =
-      analyze_robustness(p.tasks, assignment, robustness);
-  w.key("simulated_overrun_margin");
-  w.value(report.simulated_overrun_margin);
-  w.key("simulated_jitter_margin");
-  w.value(report.simulated_jitter_margin);
-  w.key("analytic_supported");
-  w.value(report.analytic_supported);
-  if (report.analytic_supported) {
-    w.key("analytic_overrun_margin");
-    w.value(report.analytic_overrun_margin);
-    w.key("analytic_jitter_margin");
-    w.value(report.analytic_jitter_margin);
   }
 }
 
@@ -422,82 +219,6 @@ FaultModel parse_faults(const JsonValue& request) {
   return faults;
 }
 
-void handle_simulate(JsonWriter& w, const JsonValue& request,
-                     const RouterConfig& config) {
-  const PartitionRequest p = parse_partition_request(request, config);
-  SimConfig sim;
-  sim.policy = p.policy;
-  sim.faults = parse_faults(request);
-  sim.stop_at_first_miss = false;
-  const Time cap = optional_int(request, "horizon_cap", config.sim_horizon_cap,
-                                1, config.sim_horizon_cap);
-  sim.horizon = recommended_horizon(p.tasks, cap);
-
-  const Assignment assignment = p.algorithm->partition(p.tasks, p.processors);
-  w.key("algorithm");
-  w.value(p.algorithm->name());
-  write_task_set_summary(w, p.tasks, p.processors);
-  w.key("accepted");
-  w.value(assignment.success);
-  if (!assignment.success) return;
-
-  // One workspace per worker thread: repeated simulate requests on a
-  // connection reuse it allocation-free (the PR 3 hot path).
-  thread_local SimWorkspace workspace;
-  const SimResult& run = simulate(p.tasks, assignment, sim, workspace);
-  w.key("schedulable");
-  w.value(run.schedulable);
-  w.key("simulated_until");
-  w.value(run.simulated_until);
-  w.key("events");
-  w.value(run.events);
-  w.key("jobs_released");
-  w.value(run.jobs_released);
-  w.key("jobs_completed");
-  w.value(run.jobs_completed);
-  w.key("preemptions");
-  w.value(run.preemptions);
-  w.key("migrations");
-  w.value(run.migrations);
-  w.key("misses");
-  w.value(run.misses.size());
-  if (!run.misses.empty()) {
-    constexpr std::size_t kMaxEchoedMisses = 8;
-    w.key("first_misses");
-    w.begin_array();
-    for (std::size_t i = 0; i < run.misses.size() && i < kMaxEchoedMisses; ++i) {
-      w.begin_object();
-      w.key("task");
-      w.value(static_cast<std::uint64_t>(run.misses[i].task));
-      w.key("release");
-      w.value(run.misses[i].release);
-      w.key("deadline");
-      w.value(run.misses[i].deadline);
-      w.end_object();
-    }
-    w.end_array();
-  }
-  if (sim.faults.active()) {
-    w.key("degraded");
-    w.value(run.jobs_degraded);
-    w.key("aborted");
-    w.value(run.jobs_aborted);
-    w.key("demoted");
-    w.value(run.jobs_demoted);
-    w.key("orphaned");
-    w.value(run.subtasks_orphaned);
-  }
-}
-
-// ------------------------------------------------- online sessions ------
-//
-// The session_* ops expose src/online/ over the wire: a session_open
-// creates a long-lived PartitionSession in the router's registry; admit /
-// depart / rebalance mutate it under its per-session mutex.  Rejections
-// ("no placement passes exact RTA", unknown ticket) are normal ok:true
-// replies, mirroring the batch admit's accepted:false philosophy; only
-// unparseable requests and unknown session ids are errors.
-
 online::SessionConfig parse_session_config(const JsonValue& request,
                                            const RouterConfig& config) {
   online::SessionConfig session;
@@ -523,409 +244,305 @@ online::SessionConfig parse_session_config(const JsonValue& request,
   return session;
 }
 
-void handle_session_open(JsonWriter& w, const JsonValue& request,
-                         const RouterConfig& config,
-                         online::SessionRegistry& sessions) {
-  const online::SessionConfig session = parse_session_config(request, config);
-  const online::SessionId id = sessions.open(session);
-  if (id == 0) {
-    reject("too many open sessions (limit " +
-           std::to_string(config.max_sessions) + ")");
-  }
-  w.key("session");
-  w.value(id);
-  w.key("processors");
-  w.value(session.processors);
-  w.key("max_resident");
-  w.value(session.max_resident);
-}
-
 /// Locks the session named by the request's required `session` field;
 /// rejects when the id is unknown (or already closed).
-online::SessionRegistry::Handle lock_session(
-    const JsonValue& request, const online::SessionRegistry& sessions) {
+online::SessionRegistry::Handle lock_session(const JsonValue& request,
+                                             const Router& router) {
   const std::int64_t id = require_int(
       request, "session", 1, std::numeric_limits<std::int64_t>::max());
   online::SessionRegistry::Handle handle =
-      sessions.lock(static_cast<online::SessionId>(id));
+      router.sessions().lock(static_cast<online::SessionId>(id));
   if (!handle) reject("unknown session " + std::to_string(id));
   return handle;
 }
 
-void handle_session_admit(JsonWriter& w, const JsonValue& request,
-                          const online::SessionRegistry& sessions) {
+}  // namespace
+
+namespace handlers {
+
+void admit(JsonWriter& w, const JsonValue& request, const Router& router) {
+  const PartitionRequest p = parse_partition_request(request, router.config());
+  // RM-TS both partitions with its clamped bound and reports it: evaluate
+  // the bound (a harmonic-chain matching at large N) once for both.
+  const auto* rmts = dynamic_cast<const Rmts*>(p.algorithm.get());
+  const double lambda = rmts != nullptr ? rmts->guaranteed_bound(p.tasks) : 0.0;
+  const Assignment assignment =
+      rmts != nullptr ? rmts->partition(p.tasks, p.processors, lambda)
+                      : p.algorithm->partition(p.tasks, p.processors);
+  w.member("algorithm", p.algorithm->name());
+  write_task_set_summary(w, p.tasks, p.processors);
+  if (rmts != nullptr) w.member("guaranteed_bound", lambda);
+  write_assignment_summary(w, assignment);
+}
+
+/// Batched admission: one request carrying many task sets, amortizing
+/// parse/dispatch/reply framing over the whole probe group (the client
+///-side analogue of the SoA kernel's rta_batch_fits, which the admission
+/// path under each item's partition() runs on).  Top-level m/alg/bound
+/// are defaults each item may override; a bad item yields a per-item
+/// ok:false entry without failing its siblings.
+void admit_batch(JsonWriter& w, const JsonValue& request,
+                 const Router& router) {
+  const RouterConfig& config = router.config();
+  const JsonValue& items = require(request, "items");
+  if (!items.is_array()) reject("field 'items' must be an array");
+  if (items.items().empty()) reject("field 'items' must not be empty");
+  if (items.items().size() > config.max_batch_items) {
+    reject("too many items (limit " + std::to_string(config.max_batch_items) +
+           ")");
+  }
+  const std::int64_t default_m =
+      optional_int(request, "m", 0, 1,
+                   static_cast<std::int64_t>(config.max_processors));
+  const std::string default_alg = optional_string(request, "alg", "rmts");
+  const std::string default_bound = optional_string(request, "bound", "hc");
+
+  std::size_t accepted = 0;
+  w.begin_array("items");
+  for (const JsonValue& item : items.items()) {
+    w.begin_object();
+    try {
+      if (!item.is_object()) reject("each item must be an object");
+      const std::int64_t m =
+          optional_int(item, "m", default_m, 1,
+                       static_cast<std::int64_t>(config.max_processors));
+      if (m == 0) reject("missing field 'm' (item or request level)");
+      const TaskSet tasks = parse_tasks(item, config.max_tasks);
+      const std::string alg = optional_string(item, "alg", default_alg);
+      const std::string bound = optional_string(item, "bound", default_bound);
+      const std::shared_ptr<const Partitioner> algorithm =
+          make_algorithm(alg, make_bound(bound));
+      const auto processors = static_cast<std::size_t>(m);
+      const Assignment assignment = algorithm->partition(tasks, processors);
+      w.member("ok", true);
+      w.member("algorithm", algorithm->name());
+      write_task_set_summary(w, tasks, processors);
+      write_assignment_summary(w, assignment);
+      if (assignment.success) ++accepted;
+    } catch (const ProtocolError& error) {
+      w.member("ok", false);
+      w.member("error", error.message);
+    } catch (const Error& error) {
+      w.member("ok", false);
+      w.member("error", std::string_view(error.what()));
+    }
+    w.end_object();
+  }
+  w.end_array();
+  w.member("accepted_count", accepted);
+}
+
+void analyze(JsonWriter& w, const JsonValue& request, const Router& router) {
+  const PartitionRequest p = parse_partition_request(request, router.config());
+  write_task_set_summary(w, p.tasks, p.processors);
+  w.member("harmonic", p.tasks.is_harmonic());
+  w.member("max_task_utilization", p.tasks.max_utilization());
+
+  // Per-bound utilization thresholds, all evaluated on the ORIGINAL set
+  // (re-evaluating on partitions would be unsound -- bounds/bound.hpp).
+  w.begin_object("bounds");
+  for (const char* name : {"ll", "hc", "tbound", "rbound", "burchard"}) {
+    const BoundPtr bound = make_bound(name);
+    w.member(bound->name(), bound->evaluate(p.tasks));
+  }
+  w.end_object();
+  w.member("light_threshold", light_task_threshold(p.tasks.size()));
+  w.member("rmts_cap", rmts_bound_cap(p.tasks.size()));
+  w.member("light",
+           p.tasks.all_lighter_than(light_task_threshold(p.tasks.size())));
+
+  // RTA detail of the requested algorithm's partition: every subtask's
+  // measured response time against its synthetic deadline.
+  const Assignment assignment = p.algorithm->partition(p.tasks, p.processors);
+  w.begin_object("rta");
+  w.member("algorithm", p.algorithm->name());
+  write_assignment_summary(w, assignment);
+  if (assignment.success && p.policy == DispatchPolicy::kFixedPriority) {
+    w.begin_array("processors");
+    for (const ProcessorAssignment& proc : assignment.processors) {
+      w.begin_object();
+      w.member("utilization", proc.utilization());
+      const ProcessorRta rta = analyze_processor(proc.subtasks);
+      w.begin_array("subtasks");
+      for (std::size_t s = 0; s < proc.subtasks.size(); ++s) {
+        const Subtask& subtask = proc.subtasks[s];
+        w.begin_object();
+        w.member("task", static_cast<std::uint64_t>(subtask.task_id));
+        w.member("part", static_cast<std::int64_t>(subtask.part));
+        w.member("wcet", subtask.wcet);
+        w.member("period", subtask.period);
+        w.member("deadline", subtask.deadline);
+        w.member("response",
+                 s < rta.response.size() ? rta.response[s] : Time{0});
+        w.end_object();
+      }
+      w.end_array();
+      w.end_object();
+    }
+    w.end_array();
+  }
+  w.end_object();
+}
+
+void robustness(JsonWriter& w, const JsonValue& request, const Router& router) {
+  const RouterConfig& config = router.config();
+  const PartitionRequest p = parse_partition_request(request, config);
+  RobustnessConfig robustness;
+  robustness.horizon_cap = config.sim_horizon_cap;
+  robustness.policy = p.policy;
+  robustness.fault_seed = static_cast<std::uint64_t>(optional_int(
+      request, "fault_seed", 1, 1, std::numeric_limits<std::int64_t>::max()));
+  robustness.max_overrun_factor = optional_double(
+      request, "max_factor", 4.0, 1.0, config.max_overrun_factor);
+  robustness.max_release_jitter = optional_int(
+      request, "max_jitter", 0, 0, std::numeric_limits<std::int64_t>::max() / 2);
+
+  const Assignment assignment = p.algorithm->partition(p.tasks, p.processors);
+  w.member("algorithm", p.algorithm->name());
+  write_task_set_summary(w, p.tasks, p.processors);
+  w.member("accepted", assignment.success);
+  if (!assignment.success) return;
+
+  const RobustnessReport report =
+      analyze_robustness(p.tasks, assignment, robustness);
+  w.member("simulated_overrun_margin", report.simulated_overrun_margin);
+  w.member("simulated_jitter_margin", report.simulated_jitter_margin);
+  w.member("analytic_supported", report.analytic_supported);
+  if (report.analytic_supported) {
+    w.member("analytic_overrun_margin", report.analytic_overrun_margin);
+    w.member("analytic_jitter_margin", report.analytic_jitter_margin);
+  }
+}
+
+void simulate(JsonWriter& w, const JsonValue& request, const Router& router) {
+  const RouterConfig& config = router.config();
+  const PartitionRequest p = parse_partition_request(request, config);
+  SimConfig sim;
+  sim.policy = p.policy;
+  sim.faults = parse_faults(request);
+  sim.stop_at_first_miss = false;
+  const Time cap = optional_int(request, "horizon_cap", config.sim_horizon_cap,
+                                1, config.sim_horizon_cap);
+  sim.horizon = recommended_horizon(p.tasks, cap);
+
+  const Assignment assignment = p.algorithm->partition(p.tasks, p.processors);
+  w.member("algorithm", p.algorithm->name());
+  write_task_set_summary(w, p.tasks, p.processors);
+  w.member("accepted", assignment.success);
+  if (!assignment.success) return;
+
+  // One workspace per worker thread: repeated simulate requests on a
+  // connection reuse it allocation-free (the PR 3 hot path).
+  thread_local SimWorkspace workspace;
+  const SimResult& run = simulate(p.tasks, assignment, sim, workspace);
+  w.member("schedulable", run.schedulable);
+  w.member("simulated_until", run.simulated_until);
+  w.member("events", run.events);
+  w.member("jobs_released", run.jobs_released);
+  w.member("jobs_completed", run.jobs_completed);
+  w.member("preemptions", run.preemptions);
+  w.member("migrations", run.migrations);
+  w.member("misses", run.misses.size());
+  if (!run.misses.empty()) {
+    constexpr std::size_t kMaxEchoedMisses = 8;
+    w.begin_array("first_misses");
+    for (std::size_t i = 0; i < run.misses.size() && i < kMaxEchoedMisses; ++i) {
+      w.begin_object();
+      w.member("task", static_cast<std::uint64_t>(run.misses[i].task));
+      w.member("release", run.misses[i].release);
+      w.member("deadline", run.misses[i].deadline);
+      w.end_object();
+    }
+    w.end_array();
+  }
+  if (sim.faults.active()) {
+    w.member("degraded", run.jobs_degraded);
+    w.member("aborted", run.jobs_aborted);
+    w.member("demoted", run.jobs_demoted);
+    w.member("orphaned", run.subtasks_orphaned);
+  }
+}
+
+// ------------------------------------------------- online sessions ------
+//
+// The session_* ops expose src/online/ over the wire: a session_open
+// creates a long-lived PartitionSession in the router's registry; admit /
+// depart / rebalance mutate it under its per-session mutex.  Rejections
+// ("no placement passes exact RTA", unknown ticket) are normal ok:true
+// replies, mirroring the batch admit's accepted:false philosophy; only
+// unparseable requests and unknown session ids are errors.
+
+void session_open(JsonWriter& w, const JsonValue& request,
+                  const Router& router) {
+  const RouterConfig& config = router.config();
+  const online::SessionConfig session = parse_session_config(request, config);
+  const online::SessionId id = router.sessions().open(session);
+  if (id == 0) {
+    reject("too many open sessions (limit " +
+           std::to_string(config.max_sessions) + ")");
+  }
+  w.member("session", id);
+  w.member("processors", session.processors);
+  w.member("max_resident", session.max_resident);
+}
+
+void session_admit(JsonWriter& w, const JsonValue& request,
+                   const Router& router) {
   const std::int64_t wcet =
       require_int(request, "wcet", 1, online::PartitionSession::kMaxPeriod);
   const std::int64_t period =
       require_int(request, "period", 1, online::PartitionSession::kMaxPeriod);
-  const online::SessionRegistry::Handle handle =
-      lock_session(request, sessions);
+  const auto handle = lock_session(request, router);
   const online::AdmitResult result = handle.session().admit(wcet, period);
-  w.key("accepted");
-  w.value(result.admitted);
+  w.member("accepted", result.admitted);
   if (result.admitted) {
-    w.key("ticket");
-    w.value(result.ticket);
-    w.key("parts");
-    w.value(result.parts);
+    w.member("ticket", result.ticket);
+    w.member("parts", result.parts);
   } else {
-    w.key("reason");
-    w.value(result.reason);
+    w.member("reason", result.reason);
   }
 }
 
-void handle_session_depart(JsonWriter& w, const JsonValue& request,
-                           const online::SessionRegistry& sessions) {
+void session_depart(JsonWriter& w, const JsonValue& request,
+                    const Router& router) {
   const std::int64_t ticket = require_int(
       request, "ticket", 1, std::numeric_limits<std::int64_t>::max());
-  const online::SessionRegistry::Handle handle =
-      lock_session(request, sessions);
+  const auto handle = lock_session(request, router);
   const bool departed =
       handle.session().depart(static_cast<online::Ticket>(ticket));
-  w.key("departed");
-  w.value(departed);
+  w.member("departed", departed);
 }
 
-void handle_session_rebalance(JsonWriter& w, const JsonValue& request,
-                              const online::SessionRegistry& sessions) {
-  const online::SessionRegistry::Handle handle =
-      lock_session(request, sessions);
-  w.key("migrations");
-  w.value(handle.session().rebalance());
+void session_rebalance(JsonWriter& w, const JsonValue& request,
+                       const Router& router) {
+  const auto handle = lock_session(request, router);
+  w.member("migrations", handle.session().rebalance());
 }
 
-void write_session_stats(JsonWriter& w, const online::SessionStats& stats) {
-  w.key("processors");
-  w.value(stats.processors);
-  w.key("resident_tasks");
-  w.value(stats.resident_tasks);
-  w.key("resident_subtasks");
-  w.value(stats.resident_subtasks);
-  w.key("split_residents");
-  w.value(stats.split_residents);
-  w.key("admits");
-  w.value(stats.admits_total);
-  w.key("rejects");
-  w.value(stats.rejects_total);
-  w.key("departs");
-  w.value(stats.departs_total);
-  w.key("migrations");
-  w.value(stats.migrations_total);
-  w.key("rebalance_rounds");
-  w.value(stats.rebalance_rounds_total);
-  w.key("utilization");
-  w.value(stats.utilization);
-  w.key("normalized_utilization");
-  w.value(stats.normalized_utilization);
-  w.key("min_processor_utilization");
-  w.value(stats.min_processor_utilization);
-  w.key("max_processor_utilization");
-  w.value(stats.max_processor_utilization);
-}
-
-void handle_session_stats(JsonWriter& w, const JsonValue& request,
-                          const online::SessionRegistry& sessions) {
-  const online::SessionRegistry::Handle handle =
-      lock_session(request, sessions);
+void session_stats(JsonWriter& w, const JsonValue& request,
+                   const Router& router) {
+  const auto handle = lock_session(request, router);
   write_session_stats(w, handle.session().stats());
 }
 
-void handle_session_close(JsonWriter& w, const JsonValue& request,
-                          online::SessionRegistry& sessions) {
+void session_close(JsonWriter& w, const JsonValue& request,
+                   const Router& router) {
   const std::int64_t id = require_int(
       request, "session", 1, std::numeric_limits<std::int64_t>::max());
-  w.key("closed");
-  w.value(sessions.close(static_cast<online::SessionId>(id)));
+  w.member("closed",
+           router.sessions().close(static_cast<online::SessionId>(id)));
 }
 
-void write_endpoint_stats(JsonWriter& w, const Metrics& metrics,
-                          Endpoint endpoint) {
-  const Metrics::EndpointSnapshot snap = metrics.snapshot(endpoint);
-  w.key(endpoint_name(endpoint));
-  w.begin_object();
-  w.key("requests");
-  w.value(snap.requests);
-  w.key("errors");
-  w.value(snap.errors);
-  w.key("p50_us");
-  w.value(snap.p50_micros);
-  w.key("p90_us");
-  w.value(snap.p90_micros);
-  w.key("p99_us");
-  w.value(snap.p99_micros);
-  w.key("mean_us");
-  w.value(snap.mean_micros);
-  w.key("max_us");
-  w.value(snap.max_micros);
-  w.end_object();
+void stats(JsonWriter& w, const JsonValue&, const Router& router) {
+  write_stats(w, router.snapshot());
 }
 
-/// Live overload-control state: the adaptive flag, tick count and every
-/// budgeted class's budget / in-flight / shed / expired / retry hint.
-void write_overload_stats(JsonWriter& w, const RuntimeStats& runtime) {
-  w.key("overload");
-  w.begin_object();
-  w.key("adaptive");
-  w.value(runtime.adaptive);
-  w.key("controller_ticks");
-  w.value(runtime.controller_ticks);
-  w.key("requests_expired");
-  w.value(runtime.requests_expired);
-  w.key("classes");
-  w.begin_object();
-  for (std::size_t c = 0; c < kBudgetClassCount; ++c) {
-    const ClassRuntimeStats& cls = runtime.classes[c];
-    w.key(budget_class_name(static_cast<BudgetClass>(c)));
-    w.begin_object();
-    w.key("budget");
-    w.value(static_cast<std::uint64_t>(cls.budget));
-    w.key("in_flight");
-    w.value(cls.in_flight);
-    w.key("shed");
-    w.value(cls.shed);
-    w.key("expired");
-    w.value(cls.expired);
-    w.key("retry_after_ms");
-    w.value(cls.retry_after_ms);
-    w.end_object();
-  }
-  w.end_object();
-  w.end_object();
+void metrics(JsonWriter& w, const JsonValue&, const Router& router) {
+  w.member("content_type", "text/plain; version=0.0.4");
+  w.member("text", router.metrics_exposition());
 }
 
-/// Cross-layer stage timers and counters, appended to the stats reply
-/// when the tracing layer is compiled in (common/trace.hpp).
-void write_trace_stats(JsonWriter& w) {
-  w.key("tracing");
-  w.value(trace::compiled_in() && trace::enabled());
-  if (!trace::compiled_in()) return;
-  const trace::Snapshot snap = trace::snapshot();
-  w.key("stages");
-  w.begin_object();
-  for (std::size_t s = 0; s < trace::kStageCount; ++s) {
-    const trace::StageSnapshot& stage = snap.stages[s];
-    if (stage.count == 0) continue;
-    w.key(trace::stage_name(static_cast<trace::Stage>(s)));
-    w.begin_object();
-    w.key("count");
-    w.value(stage.count);
-    w.key("total_us");
-    w.value(static_cast<double>(stage.total_ns) / 1000.0);
-    w.key("mean_us");
-    w.value(stage.mean_ns() / 1000.0);
-    w.key("p50_us");
-    w.value(stage.latency_ns.quantile(0.50) / 1000.0);
-    w.key("p99_us");
-    w.value(stage.latency_ns.quantile(0.99) / 1000.0);
-    w.key("max_us");
-    w.value(static_cast<double>(stage.max_ns) / 1000.0);
-    w.end_object();
-  }
-  w.end_object();
-  w.key("counters");
-  w.begin_object();
-  for (std::size_t c = 0; c < trace::kCounterCount; ++c) {
-    w.key(trace::counter_name(static_cast<trace::Counter>(c)));
-    w.value(snap.counters[c]);
-  }
-  w.end_object();
-}
-
-/// The trace stage timing each op's compute; kMalformed never reaches the
-/// handler switch.
-trace::Stage stage_of(Endpoint endpoint) noexcept {
-  switch (endpoint) {
-    case Endpoint::kAdmit: return trace::Stage::kRouterAdmit;
-    case Endpoint::kAdmitBatch: return trace::Stage::kRouterAdmit;
-    case Endpoint::kAnalyze: return trace::Stage::kRouterAnalyze;
-    case Endpoint::kRobustness: return trace::Stage::kRouterRobustness;
-    case Endpoint::kSimulate: return trace::Stage::kRouterSimulate;
-    case Endpoint::kSession: return trace::Stage::kRouterSession;
-    case Endpoint::kStats: return trace::Stage::kRouterStats;
-    case Endpoint::kMetrics: return trace::Stage::kRouterMetrics;
-    case Endpoint::kMalformed: break;
-  }
-  return trace::Stage::kRouterStats;
-}
-
-// ------------------------------------------------- text exposition ------
-
-/// Prometheus floats: integral values print bare, others via json_number
-/// (shortest round-trip decimal; never inf/nan here).
-std::string prom_number(double value) {
-  if (value == static_cast<double>(static_cast<std::int64_t>(value))) {
-    return std::to_string(static_cast<std::int64_t>(value));
-  }
-  return json_number(value);
-}
-
-void expose_endpoints(std::ostringstream& out, const Metrics& metrics) {
-  out << "# TYPE rmts_requests_total counter\n";
-  for (std::size_t e = 0; e < kEndpointCount; ++e) {
-    const auto endpoint = static_cast<Endpoint>(e);
-    const Metrics::EndpointSnapshot snap = metrics.snapshot(endpoint);
-    out << "rmts_requests_total{endpoint=\"" << endpoint_name(endpoint)
-        << "\"} " << snap.requests << '\n';
-  }
-  out << "# TYPE rmts_request_errors_total counter\n";
-  for (std::size_t e = 0; e < kEndpointCount; ++e) {
-    const auto endpoint = static_cast<Endpoint>(e);
-    const Metrics::EndpointSnapshot snap = metrics.snapshot(endpoint);
-    out << "rmts_request_errors_total{endpoint=\"" << endpoint_name(endpoint)
-        << "\"} " << snap.errors << '\n';
-  }
-  // Sparse HDR histogram: only non-empty buckets are emitted (cumulative,
-  // as Prometheus `le` semantics require), plus the mandatory +Inf.
-  out << "# TYPE rmts_request_latency_us histogram\n";
-  for (std::size_t e = 0; e < kEndpointCount; ++e) {
-    const auto endpoint = static_cast<Endpoint>(e);
-    const Metrics::EndpointSnapshot snap = metrics.snapshot(endpoint);
-    if (snap.requests == 0) continue;
-    const std::string label{endpoint_name(endpoint)};
-    for (const Histogram::Bucket& bucket : snap.latency_us.nonzero_buckets()) {
-      out << "rmts_request_latency_us_bucket{endpoint=\"" << label
-          << "\",le=\"" << bucket.upper << "\"} " << bucket.cumulative << '\n';
-    }
-    out << "rmts_request_latency_us_bucket{endpoint=\"" << label
-        << "\",le=\"+Inf\"} " << snap.latency_us.count() << '\n';
-    out << "rmts_request_latency_us_sum{endpoint=\"" << label << "\"} "
-        << snap.latency_us.sum() << '\n';
-    out << "rmts_request_latency_us_count{endpoint=\"" << label << "\"} "
-        << snap.latency_us.count() << '\n';
-  }
-}
-
-void expose_runtime(std::ostringstream& out, const RuntimeStats& runtime) {
-  out << "# TYPE rmts_uptime_seconds gauge\n"
-      << "rmts_uptime_seconds " << prom_number(runtime.uptime_seconds) << '\n'
-      << "# TYPE rmts_workers gauge\n"
-      << "rmts_workers " << runtime.workers << '\n'
-      << "# TYPE rmts_connections_accepted_total counter\n"
-      << "rmts_connections_accepted_total " << runtime.connections_accepted
-      << '\n'
-      << "# TYPE rmts_connections_active gauge\n"
-      << "rmts_connections_active " << runtime.connections_active << '\n'
-      << "# TYPE rmts_requests_shed_total counter\n"
-      << "rmts_requests_shed_total " << runtime.requests_shed << '\n'
-      << "# TYPE rmts_requests_expired_total counter\n"
-      << "rmts_requests_expired_total " << runtime.requests_expired << '\n'
-      << "# TYPE rmts_batches_dispatched_total counter\n"
-      << "rmts_batches_dispatched_total " << runtime.batches_dispatched << '\n'
-      << "# TYPE rmts_requests_in_flight gauge\n"
-      << "rmts_requests_in_flight " << runtime.in_flight << '\n';
-
-  // Overload-control surface: live budgets and per-class counters, so a
-  // dashboard can watch the controller breathe in production.
-  out << "# TYPE rmts_overload_adaptive gauge\n"
-      << "rmts_overload_adaptive " << (runtime.adaptive ? 1 : 0) << '\n'
-      << "# TYPE rmts_overload_controller_ticks_total counter\n"
-      << "rmts_overload_controller_ticks_total " << runtime.controller_ticks
-      << '\n';
-  out << "# TYPE rmts_class_budget gauge\n";
-  for (std::size_t c = 0; c < kBudgetClassCount; ++c) {
-    out << "rmts_class_budget{class=\""
-        << budget_class_name(static_cast<BudgetClass>(c)) << "\"} "
-        << runtime.classes[c].budget << '\n';
-  }
-  out << "# TYPE rmts_class_in_flight gauge\n";
-  for (std::size_t c = 0; c < kBudgetClassCount; ++c) {
-    out << "rmts_class_in_flight{class=\""
-        << budget_class_name(static_cast<BudgetClass>(c)) << "\"} "
-        << runtime.classes[c].in_flight << '\n';
-  }
-  out << "# TYPE rmts_class_shed_total counter\n";
-  for (std::size_t c = 0; c < kBudgetClassCount; ++c) {
-    out << "rmts_class_shed_total{class=\""
-        << budget_class_name(static_cast<BudgetClass>(c)) << "\"} "
-        << runtime.classes[c].shed << '\n';
-  }
-  out << "# TYPE rmts_class_expired_total counter\n";
-  for (std::size_t c = 0; c < kBudgetClassCount; ++c) {
-    out << "rmts_class_expired_total{class=\""
-        << budget_class_name(static_cast<BudgetClass>(c)) << "\"} "
-        << runtime.classes[c].expired << '\n';
-  }
-  out << "# TYPE rmts_class_retry_after_ms gauge\n";
-  for (std::size_t c = 0; c < kBudgetClassCount; ++c) {
-    out << "rmts_class_retry_after_ms{class=\""
-        << budget_class_name(static_cast<BudgetClass>(c)) << "\"} "
-        << runtime.classes[c].retry_after_ms << '\n';
-  }
-}
-
-/// Online-session gauges: per-session resident tasks / utilization /
-/// migrations (labelled by session id) plus aggregate op totals.  The
-/// aggregates come from the registry's RegistryTotals, which fold in
-/// closed sessions, so the `_total` series are monotone; the per-session
-/// labelled series simply disappear when their session closes.
-void expose_sessions(
-    std::ostringstream& out,
-    const std::vector<std::pair<online::SessionId, online::SessionStats>>&
-        rows,
-    const online::RegistryTotals& totals) {
-  out << "# TYPE rmts_sessions_open gauge\n"
-      << "rmts_sessions_open " << rows.size() << '\n';
-  out << "# TYPE rmts_session_resident_tasks gauge\n";
-  for (const auto& [sid, stats] : rows) {
-    out << "rmts_session_resident_tasks{session=\"" << sid << "\"} "
-        << stats.resident_tasks << '\n';
-  }
-  out << "# TYPE rmts_session_utilization gauge\n";
-  for (const auto& [sid, stats] : rows) {
-    out << "rmts_session_utilization{session=\"" << sid << "\"} "
-        << prom_number(stats.utilization) << '\n';
-  }
-  out << "# TYPE rmts_session_migrations_total counter\n";
-  for (const auto& [sid, stats] : rows) {
-    out << "rmts_session_migrations_total{session=\"" << sid << "\"} "
-        << stats.migrations_total << '\n';
-  }
-  out << "# TYPE rmts_session_admits_total counter\n"
-      << "rmts_session_admits_total " << totals.admits_total << '\n'
-      << "# TYPE rmts_session_rejects_total counter\n"
-      << "rmts_session_rejects_total " << totals.rejects_total << '\n'
-      << "# TYPE rmts_session_departs_total counter\n"
-      << "rmts_session_departs_total " << totals.departs_total << '\n';
-}
-
-void expose_trace(std::ostringstream& out) {
-  if (!trace::compiled_in()) return;
-  const trace::Snapshot snap = trace::snapshot();
-  out << "# TYPE rmts_trace_events_total counter\n";
-  for (std::size_t c = 0; c < trace::kCounterCount; ++c) {
-    out << "rmts_trace_events_total{counter=\""
-        << trace::counter_name(static_cast<trace::Counter>(c)) << "\"} "
-        << snap.counters[c] << '\n';
-  }
-  const std::uint64_t posted =
-      snap.counter(trace::Counter::kPoolTasksPosted);
-  const std::uint64_t started =
-      snap.counter(trace::Counter::kPoolTasksStarted);
-  out << "# TYPE rmts_pool_queue_depth gauge\n"
-      << "rmts_pool_queue_depth " << (posted > started ? posted - started : 0)
-      << '\n';
-  // Per-stage latency as a summary (count/sum plus key quantiles); the
-  // full per-stage HDR buckets would multiply the payload ~16x for little
-  // scrape value.
-  out << "# TYPE rmts_stage_latency_ns summary\n";
-  for (std::size_t s = 0; s < trace::kStageCount; ++s) {
-    const trace::StageSnapshot& stage = snap.stages[s];
-    if (stage.count == 0) continue;
-    const std::string_view name =
-        trace::stage_name(static_cast<trace::Stage>(s));
-    for (const double q : {0.5, 0.9, 0.99}) {
-      out << "rmts_stage_latency_ns{stage=\"" << name << "\",quantile=\""
-          << prom_number(q) << "\"} "
-          << prom_number(stage.latency_ns.quantile(q)) << '\n';
-    }
-    out << "rmts_stage_latency_ns_sum{stage=\"" << name << "\"} "
-        << stage.total_ns << '\n';
-    out << "rmts_stage_latency_ns_count{stage=\"" << name << "\"} "
-        << stage.count << '\n';
-  }
-}
-
-}  // namespace
+}  // namespace handlers
 
 Router::Router(RouterConfig config, const Metrics& metrics,
                std::function<RuntimeStats()> runtime)
@@ -949,151 +566,29 @@ HandleOutcome Router::handle(std::string_view line) const {
     return {error_reply("missing string field 'op'"), Endpoint::kMalformed,
             true};
   }
-  const std::string_view op = op_field->as_string();
-  const JsonValue* id = request.find("id");
-
-  Endpoint endpoint;
-  if (op == "admit") {
-    endpoint = Endpoint::kAdmit;
-  } else if (op == "admit_batch") {
-    endpoint = Endpoint::kAdmitBatch;
-  } else if (op == "analyze") {
-    endpoint = Endpoint::kAnalyze;
-  } else if (op == "robustness") {
-    endpoint = Endpoint::kRobustness;
-  } else if (op == "simulate") {
-    endpoint = Endpoint::kSimulate;
-  } else if (op == "session_open" || op == "session_admit" ||
-             op == "session_depart" || op == "session_rebalance" ||
-             op == "session_stats" || op == "session_close") {
-    endpoint = Endpoint::kSession;
-  } else if (op == "stats") {
-    endpoint = Endpoint::kStats;
-  } else if (op == "metrics") {
-    endpoint = Endpoint::kMetrics;
-  } else {
-    return {error_reply("unknown op '" + std::string(op) + "'"),
+  const Op* op = find_op(op_field->as_string());
+  if (op == nullptr) {
+    return {error_reply("unknown op '" + std::string(op_field->as_string()) +
+                        "'"),
             Endpoint::kMalformed, true};
   }
+  const JsonValue* id = request.find("id");
 
-  const auto fail = [&](const std::string& message) {
+  const auto fail = [&](std::string_view message) {
     JsonWriter w;
-    w.begin_object();
-    w.key("ok");
-    w.value(false);
-    w.key("op");
-    w.value(op);
-    if (id != nullptr) {
-      w.key("id");
-      w.value(*id);
-    }
-    w.key("error");
-    w.value(message);
+    begin_reply(w, false, op->name, id);
+    w.member("error", message);
     w.end_object();
-    return HandleOutcome{w.str(), endpoint, true};
+    return HandleOutcome{w.str(), op->endpoint, true};
   };
 
   try {
-    const trace::Span span(stage_of(endpoint));
+    const trace::Span span(op->stage);
     JsonWriter w;
-    begin_reply(w, op, id);
-    switch (endpoint) {
-      case Endpoint::kAdmit: handle_admit(w, request, config_); break;
-      case Endpoint::kAdmitBatch:
-        handle_admit_batch(w, request, config_);
-        break;
-      case Endpoint::kAnalyze: handle_analyze(w, request, config_); break;
-      case Endpoint::kRobustness: handle_robustness(w, request, config_); break;
-      case Endpoint::kSimulate: handle_simulate(w, request, config_); break;
-      case Endpoint::kSession: {
-        if (op == "session_open") {
-          handle_session_open(w, request, config_, sessions_);
-        } else if (op == "session_admit") {
-          handle_session_admit(w, request, sessions_);
-        } else if (op == "session_depart") {
-          handle_session_depart(w, request, sessions_);
-        } else if (op == "session_rebalance") {
-          handle_session_rebalance(w, request, sessions_);
-        } else if (op == "session_stats") {
-          handle_session_stats(w, request, sessions_);
-        } else {
-          handle_session_close(w, request, sessions_);
-        }
-        break;
-      }
-      case Endpoint::kStats: {
-        if (runtime_) {
-          const RuntimeStats runtime = runtime_();
-          w.key("uptime_seconds");
-          w.value(runtime.uptime_seconds);
-          w.key("workers");
-          w.value(runtime.workers);
-          w.key("connections_accepted");
-          w.value(runtime.connections_accepted);
-          w.key("connections_active");
-          w.value(runtime.connections_active);
-          w.key("requests_shed");
-          w.value(runtime.requests_shed);
-          w.key("batches_dispatched");
-          w.value(runtime.batches_dispatched);
-          w.key("in_flight");
-          w.value(runtime.in_flight);
-          write_overload_stats(w, runtime);
-        }
-        // Online sessions: one aggregate block (lifetime counters fold
-        // in closed sessions; resident_tasks is a live gauge) plus a
-        // per-session table of each live session's full stats.
-        {
-          const auto rows = sessions_.all_stats();
-          const online::RegistryTotals totals = sessions_.totals();
-          w.key("sessions");
-          w.begin_object();
-          w.key("open");
-          w.value(rows.size());
-          w.key("resident_tasks");
-          w.value(totals.resident_tasks);
-          w.key("admits");
-          w.value(totals.admits_total);
-          w.key("rejects");
-          w.value(totals.rejects_total);
-          w.key("departs");
-          w.value(totals.departs_total);
-          w.key("migrations");
-          w.value(totals.migrations_total);
-          w.key("per_session");
-          w.begin_array();
-          for (const auto& [sid, stats] : rows) {
-            w.begin_object();
-            w.key("session");
-            w.value(sid);
-            write_session_stats(w, stats);
-            w.end_object();
-          }
-          w.end_array();
-          w.end_object();
-        }
-        w.key("requests_total");
-        w.value(metrics_.total_requests());
-        w.key("endpoints");
-        w.begin_object();
-        for (std::size_t e = 0; e < kEndpointCount; ++e) {
-          write_endpoint_stats(w, metrics_, static_cast<Endpoint>(e));
-        }
-        w.end_object();
-        write_trace_stats(w);
-        break;
-      }
-      case Endpoint::kMetrics: {
-        w.key("content_type");
-        w.value("text/plain; version=0.0.4");
-        w.key("text");
-        w.value(metrics_exposition());
-        break;
-      }
-      case Endpoint::kMalformed: break;  // unreachable
-    }
+    begin_reply(w, true, op->name, id);
+    op->handler(w, request, *this);
     w.end_object();
-    return {w.str(), endpoint, false};
+    return {w.str(), op->endpoint, false};
   } catch (const ProtocolError& error) {
     return fail(error.message);
   } catch (const Error& error) {
@@ -1103,13 +598,21 @@ HandleOutcome Router::handle(std::string_view line) const {
   }
 }
 
+MetricsSnapshot Router::snapshot() const {
+  // Built in place: a default-constructed histogram allocates and zeroes
+  // its buckets, which a stats request would then throw away.
+  return MetricsSnapshot{
+      metrics_.snapshot_all(),
+      runtime_ ? std::optional<RuntimeStats>(runtime_()) : std::nullopt,
+      sessions_.all_stats(),
+      sessions_.totals(),
+      trace::compiled_in() && trace::enabled(),
+      trace::snapshot(),
+  };
+}
+
 std::string Router::metrics_exposition() const {
-  std::ostringstream out;
-  expose_endpoints(out, metrics_);
-  if (runtime_) expose_runtime(out, runtime_());
-  expose_sessions(out, sessions_.all_stats(), sessions_.totals());
-  expose_trace(out);
-  return out.str();
+  return exposition(snapshot());
 }
 
 HandleOutcome Router::oversized_line() const {

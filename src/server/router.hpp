@@ -14,7 +14,6 @@
 // model).
 #pragma once
 
-#include <array>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -22,7 +21,6 @@
 #include "common/time.hpp"
 #include "online/registry.hpp"
 #include "server/metrics.hpp"
-#include "server/overload.hpp"
 
 namespace rmts::server {
 
@@ -46,32 +44,6 @@ struct RouterConfig {
   std::size_t max_session_residents{4096};
 };
 
-/// One budgeted op class's live overload-control state (stats/metrics).
-struct ClassRuntimeStats {
-  std::size_t budget{0};        ///< current admission budget
-  std::uint64_t in_flight{0};   ///< queued-or-running right now
-  std::uint64_t shed{0};        ///< total budget rejections
-  std::uint64_t expired{0};     ///< total deadline-expired drops
-  int retry_after_ms{0};        ///< hint currently attached to sheds
-};
-
-/// Event-loop-side counters surfaced verbatim by the stats endpoint (the
-/// router itself cannot see sockets or queues).
-struct RuntimeStats {
-  std::uint64_t connections_accepted{0};
-  std::uint64_t connections_active{0};
-  std::uint64_t requests_shed{0};
-  std::uint64_t requests_expired{0};
-  std::uint64_t batches_dispatched{0};
-  std::uint64_t in_flight{0};
-  double uptime_seconds{0.0};
-  std::size_t workers{0};
-  /// Overload-control surface: whether budgets adapt, and per-class state.
-  bool adaptive{false};
-  std::uint64_t controller_ticks{0};
-  std::array<ClassRuntimeStats, kBudgetClassCount> classes{};
-};
-
 /// Outcome of one handled line: the reply document (no trailing newline)
 /// plus what to record in Metrics.
 struct HandleOutcome {
@@ -92,12 +64,12 @@ class Router {
   /// well-formed ok:false reply.  Thread-safe.
   [[nodiscard]] HandleOutcome handle(std::string_view line) const;
 
-  /// Prometheus-style text exposition (text/plain; version 0.0.4) of the
-  /// whole observability surface: per-endpoint request counters and HDR
-  /// latency histograms (sparse `le` buckets), event-loop gauges, trace
-  /// counters and per-stage latency summaries.  Served by the `metrics`
-  /// op (JSON-wrapped) and by the server's `GET /metrics` scrape path
-  /// (raw).  Thread-safe.
+  /// One read of the whole observability surface (metrics.hpp): what the
+  /// `stats` op and the exposition render.  Thread-safe.
+  [[nodiscard]] MetricsSnapshot snapshot() const;
+
+  /// exposition(snapshot()): served by the `metrics` op (JSON-wrapped)
+  /// and by the server's `GET /metrics` scrape path (raw).  Thread-safe.
   [[nodiscard]] std::string metrics_exposition() const;
 
   /// Canonical outcome for a line the decoder refused (over the length
@@ -106,8 +78,9 @@ class Router {
 
   [[nodiscard]] const RouterConfig& config() const noexcept { return config_; }
 
-  /// The online-session store (tests and the fuzzer inspect it directly).
-  [[nodiscard]] const online::SessionRegistry& sessions() const noexcept {
+  /// The online-session store: the session ops mutate it, tests and the
+  /// fuzzer inspect it.  Internally synchronized, hence mutable here.
+  [[nodiscard]] online::SessionRegistry& sessions() const noexcept {
     return sessions_;
   }
 

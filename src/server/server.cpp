@@ -14,6 +14,7 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -43,17 +44,22 @@ constexpr std::uint64_t kFirstConnectionToken = 16;
   throw InvalidConfigError(what + ": " + std::strerror(errno));
 }
 
+/// `elapsed` in whole `Unit`s.
+template <class Unit>
+std::uint64_t count_in(Clock::duration elapsed) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<Unit>(elapsed).count());
+}
+
 /// One request handed to the worker pool.
 struct PendingRequest {
   std::uint64_t token{0};
   std::uint64_t seq{0};  ///< per-connection dispatch order
   std::string line;
   Clock::time_point enqueued;
-  /// Event-loop peek results: which class budget this request holds (if
-  /// any) and the client deadline in ms from arrival (0 = none).
-  BudgetClass cls{BudgetClass::kAdmit};
-  bool budgeted{false};
-  std::int64_t deadline_ms{0};
+  /// Event-loop peek: the op's endpoint, the class budget this request
+  /// holds (if any) and the client deadline in ms from arrival (0 = none).
+  RequestPeek peek;
 };
 
 /// One computed reply travelling back to the loop.
@@ -149,15 +155,7 @@ struct Server::Impl {
     tick.it_interval.tv_nsec = (interval_ms % 1000) * 1'000'000L;
     tick.it_value = tick.it_interval;
     ::timerfd_settime(timer_fd, 0, &tick, nullptr);
-    // Publish the initial budgets/hints before any request arrives.
-    for (std::size_t c = 0; c < kBudgetClassCount; ++c) {
-      class_budget[c].store(
-          controller.budget(static_cast<BudgetClass>(c)),
-          std::memory_order_relaxed);
-      class_retry_ms[c].store(
-          controller.retry_after_ms(static_cast<BudgetClass>(c)),
-          std::memory_order_relaxed);
-    }
+    publish_budgets();  // before any request arrives
     try {
       add_fd(listen_fd, kListenToken, EPOLLIN);
       add_fd(stop_fd, kStopToken, EPOLLIN);
@@ -255,15 +253,23 @@ struct Server::Impl {
     (void)::read(timer_fd, &expirations, sizeof expirations);
     if (!accepting) set_listen_interest(EPOLLIN);  // retry after EMFILE
 
-    std::array<ClassSample, kBudgetClassCount> samples{};
+    // A class's sample covers every endpoint the op table puts in it
+    // (admit and admit_batch share the admit budget).
+    std::array<std::uint64_t, kBudgetClassCount> requests{};
     std::array<Histogram, kBudgetClassCount> latency{};
+    for (std::size_t e = 0; e < kEndpointCount; ++e) {
+      const std::optional<BudgetClass> cls = budget_of(static_cast<Endpoint>(e));
+      if (!cls) continue;
+      const auto c = static_cast<std::size_t>(*cls);
+      const Metrics::EndpointSnapshot snap =
+          metrics.snapshot(static_cast<Endpoint>(e));
+      requests[c] += snap.requests;
+      latency[c].merge(snap.latency_us);
+    }
+    std::array<ClassSample, kBudgetClassCount> samples{};
     for (std::size_t c = 0; c < kBudgetClassCount; ++c) {
-      const auto cls = static_cast<BudgetClass>(c);
-      const Endpoint endpoint = endpoint_of(cls);
-      Metrics::EndpointSnapshot snap = metrics.snapshot(endpoint);
-      latency[c] = std::move(snap.latency_us);
       ClassSample& sample = samples[c];
-      sample.completed = snap.requests - tick_prev_requests[c];
+      sample.completed = requests[c] - tick_prev_requests[c];
       const std::uint64_t shed_now =
           class_shed[c].load(std::memory_order_relaxed);
       sample.shed = shed_now - tick_prev_shed[c];
@@ -272,33 +278,25 @@ struct Server::Impl {
         sample.p99_us =
             latency[c].delta_since(tick_prev_latency[c]).quantile(0.99);
       }
-      tick_prev_requests[c] = snap.requests;
+      tick_prev_requests[c] = requests[c];
       tick_prev_shed[c] = shed_now;
-    }
-    for (std::size_t c = 0; c < kBudgetClassCount; ++c) {
       tick_prev_latency[c] = std::move(latency[c]);
     }
 
     controller.tick(samples);
+    publish_budgets();
+  }
+
+  /// Mirrors the controller's budgets, hints and tick count into the
+  /// atomics the loop, the workers and the stats surface read.
+  void publish_budgets() {
     controller_ticks.store(controller.ticks(), std::memory_order_relaxed);
     for (std::size_t c = 0; c < kBudgetClassCount; ++c) {
       const auto cls = static_cast<BudgetClass>(c);
-      class_budget[c].store(controller.budget(cls),
-                            std::memory_order_relaxed);
+      class_budget[c].store(controller.budget(cls), std::memory_order_relaxed);
       class_retry_ms[c].store(controller.retry_after_ms(cls),
                               std::memory_order_relaxed);
     }
-  }
-
-  static Endpoint endpoint_of(BudgetClass cls) noexcept {
-    switch (cls) {
-      case BudgetClass::kAdmit: return Endpoint::kAdmit;
-      case BudgetClass::kAnalyze: return Endpoint::kAnalyze;
-      case BudgetClass::kRobustness: return Endpoint::kRobustness;
-      case BudgetClass::kSimulate: return Endpoint::kSimulate;
-      case BudgetClass::kSession: return Endpoint::kSession;
-    }
-    return Endpoint::kAdmit;
   }
 
   // ---- event loop -------------------------------------------------------
@@ -413,15 +411,11 @@ struct Server::Impl {
     const auto it = connections.find(token);
     if (it == connections.end()) return;  // closed earlier in this wave
     Connection& conn = *it->second;
-    if ((mask & (EPOLLERR | EPOLLHUP)) != 0) {
-      close_connection(token);
-      return;
-    }
-    if ((mask & EPOLLOUT) != 0 && !flush(conn)) {
-      close_connection(token);
-      return;
-    }
-    if ((mask & EPOLLIN) != 0 && conn.want_read && !read_ready(conn)) {
+    const bool dead =
+        (mask & (EPOLLERR | EPOLLHUP)) != 0 ||
+        ((mask & EPOLLOUT) != 0 && !flush(conn)) ||
+        ((mask & EPOLLIN) != 0 && conn.want_read && !read_ready(conn));
+    if (dead) {
       close_connection(token);
       return;
     }
@@ -505,10 +499,8 @@ struct Server::Impl {
         class_in_flight[cls_index].fetch_add(1, std::memory_order_relaxed);
       }
       conn.pending += 1;
-      pending_batch.push_back(PendingRequest{conn.token, conn.seq_next++,
-                                             std::move(line.text),
-                                             Clock::now(), peek.cls,
-                                             peek.budgeted, peek.deadline_ms});
+      pending_batch.push_back(PendingRequest{
+          conn.token, conn.seq_next++, std::move(line.text), Clock::now(), peek});
     }
     update_interest(conn);
   }
@@ -519,49 +511,28 @@ struct Server::Impl {
   /// the connection down once the response is flushed.
   void serve_http_get(Connection& conn, const std::string& request_line) {
     const auto started = Clock::now();
-    // Path = second whitespace-separated token of the request line.
-    const std::size_t path_begin = request_line.find_first_not_of(' ', 3);
-    const std::size_t path_end = path_begin == std::string::npos
-                                     ? std::string::npos
-                                     : request_line.find(' ', path_begin);
-    const std::string path =
-        path_begin == std::string::npos
-            ? std::string{}
-            : request_line.substr(path_begin, path_end == std::string::npos
-                                                  ? std::string::npos
-                                                  : path_end - path_begin);
-    std::string status;
-    std::string content_type;
-    std::string body;
-    if (path == "/metrics") {
+    // Path = second space-separated token of the request line.
+    const std::size_t path_begin =
+        std::min(request_line.find_first_not_of(' ', 3), request_line.size());
+    const std::string path = request_line.substr(
+        path_begin, request_line.find(' ', path_begin) - path_begin);
+    const bool found = path == "/metrics";
+    const char* type = "text/plain; charset=utf-8";
+    std::string body = "only /metrics is served here\n";
+    if (found) {
       const trace::Span span(trace::Stage::kRouterMetrics);
-      status = "200 OK";
-      content_type = "text/plain; version=0.0.4; charset=utf-8";
+      type = "text/plain; version=0.0.4; charset=utf-8";
       body = router.metrics_exposition();
-    } else {
-      status = "404 Not Found";
-      content_type = "text/plain; charset=utf-8";
-      body = "only /metrics is served here\n";
     }
-    std::string response;
-    response.reserve(body.size() + 128);
-    response += "HTTP/1.0 ";
-    response += status;
-    response += "\r\nContent-Type: ";
-    response += content_type;
-    response += "\r\nContent-Length: ";
-    response += std::to_string(body.size());
-    response += "\r\nConnection: close\r\n\r\n";
-    response += body;
-    conn.write_buffer += response;  // raw bytes, no line framing
+    // Raw bytes, no line framing.
+    conn.write_buffer += std::string("HTTP/1.0 ") +
+                         (found ? "200 OK" : "404 Not Found") +
+                         "\r\nContent-Type: " + type + "\r\nContent-Length: " +
+                         std::to_string(body.size()) +
+                         "\r\nConnection: close\r\n\r\n" + body;
     conn.read_closed = true;
-    const auto micros = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                              started)
-            .count());
-    metrics.record(path == "/metrics" ? Endpoint::kMetrics
-                                      : Endpoint::kMalformed,
-                   path != "/metrics", micros);
+    metrics.record(found ? Endpoint::kMetrics : Endpoint::kMalformed, !found,
+                   count_in<std::chrono::microseconds>(Clock::now() - started));
   }
 
   /// Posts this wave's decoded requests to the pool in batch_size chunks,
@@ -596,20 +567,18 @@ struct Server::Impl {
       // drop it with a distinct error instead of computing it.  The
       // (queue-wait) latency is still recorded so the controller sees the
       // congestion that caused the expiry.
-      if (request.deadline_ms > 0) {
+      const RequestPeek& peek = request.peek;
+      if (peek.deadline_ms > 0) {
         const auto waited_ms =
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 Clock::now() - request.enqueued)
                 .count();
-        if (waited_ms > request.deadline_ms) {
+        if (waited_ms > peek.deadline_ms) {
           requests_expired.fetch_add(1, std::memory_order_relaxed);
-          const Endpoint endpoint = request.budgeted
-                                        ? endpoint_of(request.cls)
-                                        : Endpoint::kMalformed;
-          metrics.record(endpoint, true,
+          metrics.record(peek.endpoint, true,
                          static_cast<std::uint64_t>(waited_ms) * 1000);
-          if (request.budgeted) {
-            const auto c = static_cast<std::size_t>(request.cls);
+          if (peek.budgeted) {
+            const auto c = static_cast<std::size_t>(peek.cls);
             class_expired[c].fetch_add(1, std::memory_order_relaxed);
             class_in_flight[c].fetch_sub(1, std::memory_order_relaxed);
           }
@@ -625,31 +594,22 @@ struct Server::Impl {
       Clock::time_point after;
       if (trace::enabled()) {
         const Clock::time_point before = Clock::now();
-        trace::record_ns(
-            trace::Stage::kServerQueueWait,
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    before - request.enqueued)
-                    .count()));
+        trace::record_ns(trace::Stage::kServerQueueWait,
+                         count_in<std::chrono::nanoseconds>(before -
+                                                            request.enqueued));
         out = router.handle(request.line);
         after = Clock::now();
-        trace::record_ns(
-            trace::Stage::kServerCompute,
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    after - before)
-                    .count()));
+        trace::record_ns(trace::Stage::kServerCompute,
+                         count_in<std::chrono::nanoseconds>(after - before));
       } else {
         out = router.handle(request.line);
         after = Clock::now();
       }
-      const auto micros = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              after - request.enqueued)
-              .count());
+      const std::uint64_t micros =
+          count_in<std::chrono::microseconds>(after - request.enqueued);
       metrics.record(out.endpoint, out.error, micros);
-      if (request.budgeted) {
-        class_in_flight[static_cast<std::size_t>(request.cls)].fetch_sub(
+      if (peek.budgeted) {
+        class_in_flight[static_cast<std::size_t>(peek.cls)].fetch_sub(
             1, std::memory_order_relaxed);
       }
       done.push_back(

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "server/client.hpp"
 #include "server/json.hpp"
 #include "server/overload.hpp"
+#include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "tasks/task_set.hpp"
 
@@ -196,33 +200,95 @@ TEST(OverloadController, RetryHintFollowsLittlesLaw) {
 // ------------------------------------------------------------- peeking --
 
 TEST(PeekRequest, ClassifiesEveryBudgetedOp) {
+  // Every op table row against an independent list: the row itself, the
+  // peek's budget class and endpoint on the built request, the router's
+  // endpoint and the op name its reply echoes.  The session ops name a
+  // session that does not exist: their error replies still echo the op.
+  const auto tasks = TaskSet::from_pairs({{1, 4}, {1, 5}});
+  const std::vector<TaskSet> batch{tasks};
   const struct {
-    const char* line;
-    BudgetClass cls;
+    std::string_view op;
+    std::string line;
+    Endpoint endpoint;
+    std::optional<BudgetClass> cls;
   } cases[] = {
-      {R"({"op":"admit","m":2,"tasks":[[1,4]]})", BudgetClass::kAdmit},
-      {R"({"op":"analyze","m":2,"tasks":[[1,4]]})", BudgetClass::kAnalyze},
-      {R"({"op":"robustness","m":2,"tasks":[[1,4]]})",
-       BudgetClass::kRobustness},
-      {R"({"op":"simulate","m":2,"tasks":[[1,4]]})", BudgetClass::kSimulate},
-      // Batched admission shares the admit budget (overload.cpp).
-      {R"({"op":"admit_batch","m":2,"items":[{"tasks":[[1,4]]}]})",
+      {"admit", make_admit_request(2, tasks), Endpoint::kAdmit,
        BudgetClass::kAdmit},
-      {R"({ "op" : "admit" })", BudgetClass::kAdmit},  // whitespace tolerated
+      // Batched admission shares the admit budget.
+      {"admit_batch", make_admit_batch_request(2, batch),
+       Endpoint::kAdmitBatch, BudgetClass::kAdmit},
+      {"analyze", make_analyze_request(2, tasks), Endpoint::kAnalyze,
+       BudgetClass::kAnalyze},
+      {"robustness", make_robustness_request(2, tasks), Endpoint::kRobustness,
+       BudgetClass::kRobustness},
+      {"simulate", make_simulate_request(2, tasks), Endpoint::kSimulate,
+       BudgetClass::kSimulate},
+      {"session_open", make_session_open_request(2), Endpoint::kSession,
+       BudgetClass::kSession},
+      {"session_admit", make_session_admit_request(9, 1, 4),
+       Endpoint::kSession, BudgetClass::kSession},
+      {"session_depart", make_session_depart_request(9, 1),
+       Endpoint::kSession, BudgetClass::kSession},
+      {"session_rebalance", make_session_rebalance_request(9),
+       Endpoint::kSession, BudgetClass::kSession},
+      {"session_stats", make_session_stats_request(9), Endpoint::kSession,
+       BudgetClass::kSession},
+      {"session_close", make_session_close_request(9), Endpoint::kSession,
+       BudgetClass::kSession},
+      {"stats", make_stats_request(), Endpoint::kStats, std::nullopt},
+      {"metrics", make_metrics_request(), Endpoint::kMetrics, std::nullopt},
   };
-  for (const auto& c : cases) {
-    const RequestPeek peek = peek_request(c.line);
-    EXPECT_TRUE(peek.budgeted) << c.line;
-    EXPECT_EQ(peek.cls, c.cls) << c.line;
-    EXPECT_EQ(peek.deadline_ms, 0) << c.line;
+  EXPECT_EQ(kOps.size(), std::size(cases));
+  const Metrics metrics;
+  const Router router(RouterConfig{}, metrics);
+  for (const Op& row : kOps) {
+    const auto* c = std::find_if(std::begin(cases), std::end(cases),
+                                 [&](const auto& e) { return e.op == row.name; });
+    ASSERT_NE(c, std::end(cases)) << row.name;
+    EXPECT_EQ(row.endpoint, c->endpoint) << row.name;
+    EXPECT_EQ(row.budget, c->cls) << row.name;
+    EXPECT_EQ(find_op(row.name), &row) << row.name;
+
+    const RequestPeek peek = peek_request(c->line);
+    EXPECT_EQ(peek.budgeted, c->cls.has_value()) << c->line;
+    if (c->cls) {
+      EXPECT_EQ(peek.cls, *c->cls) << c->line;
+    }
+    EXPECT_EQ(peek.endpoint, c->endpoint) << c->line;
+    EXPECT_EQ(peek.deadline_ms, 0) << c->line;
+
+    const HandleOutcome out = router.handle(c->line);
+    EXPECT_EQ(out.endpoint, c->endpoint) << c->line;
+    JsonValue reply;
+    std::string error;
+    ASSERT_TRUE(json_parse(out.reply, reply, error)) << out.reply;
+    ASSERT_NE(reply.find("op"), nullptr) << out.reply;
+    EXPECT_EQ(reply.find("op")->as_string(), row.name) << out.reply;
   }
+  // Whitespace around the key and colon is tolerated.
+  const RequestPeek spaced = peek_request(R"({ "op" : "admit" })");
+  EXPECT_TRUE(spaced.budgeted);
+  EXPECT_EQ(spaced.cls, BudgetClass::kAdmit);
 }
 
 TEST(PeekRequest, ControlPlaneAndGarbageAreUnbudgeted) {
   for (const char* line :
        {R"({"op":"stats"})", R"({"op":"metrics"})", R"({"op":"frobnicate"})",
-        "not json at all", "", R"({"id":7})", R"({"op":12})"}) {
+        R"({"op":"session_foo"})", "not json at all", "", R"({"id":7})",
+        R"({"op":12})"}) {
     EXPECT_FALSE(peek_request(line).budgeted) << line;
+  }
+  // Unknown ops, session-prefixed or not, reach no endpoint and get the
+  // router's "unknown op".
+  const Metrics metrics;
+  const Router router(RouterConfig{}, metrics);
+  for (const std::string op : {"frobnicate", "session_foo"}) {
+    const std::string line = R"({"op":")" + op + R"("})";
+    EXPECT_EQ(peek_request(line).endpoint, Endpoint::kMalformed) << line;
+    const HandleOutcome out = router.handle(line);
+    EXPECT_EQ(out.endpoint, Endpoint::kMalformed) << line;
+    EXPECT_TRUE(out.error) << line;
+    EXPECT_EQ(out.reply, error_reply("unknown op '" + op + "'")) << line;
   }
 }
 
@@ -386,6 +452,55 @@ TEST(OverloadLive, TightSloShrinksBudgetUnderSustainedLoad) {
   EXPECT_EQ(ok + shed, kBurst);
   EXPECT_GT(shed, 0);
   EXPECT_GT(server->runtime_stats().classes[kAdmitIdx].shed, 0u);
+}
+
+TEST(OverloadLive, AdmitBatchTrafficKeepsTheAdmitBudget) {
+  // Regression: admit_batch holds admit budget, but the controller sampled
+  // the admit class from the admit endpoint alone.  Pure batch traffic then
+  // read as admitted work that never completes ("stuck") on every tick, so
+  // the budget collapsed to the floor and valid traffic was shed.  Small
+  // batches keep the p99 far under the default 20 ms admit SLO.
+  ServerConfig config;
+  config.port = 0;
+  config.workers = 2;
+  LiveServer server(config);
+  const std::vector<TaskSet> batch{
+      TaskSet::from_pairs({{1, 10}, {1, 20}, {2, 40}, {1, 50}}),
+      TaskSet::from_pairs({{2, 10}, {1, 25}, {3, 50}, {2, 100}})};
+  const std::string line = make_admit_batch_request(2, batch);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> connections;
+  for (int c = 0; c < 4; ++c) {
+    connections.emplace_back([&] {
+      try {
+        Client client("127.0.0.1", server->port());
+        while (!stop.load(std::memory_order_relaxed)) {
+          if (client.request(line).rfind(R"({"ok":true,)", 0) != 0) {
+            failures.fetch_add(1);
+          }
+        }
+      } catch (const TransportError&) {
+        failures.fetch_add(1);
+      }
+    });
+  }
+  std::size_t lowest = config.overload.initial_budget;
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1600);
+  while (std::chrono::steady_clock::now() < until) {
+    lowest = std::min(lowest, server->runtime_stats().classes[kAdmitIdx].budget);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  stop.store(true);
+  for (std::thread& t : connections) t.join();
+
+  const RuntimeStats stats = server->runtime_stats();
+  EXPECT_GE(stats.controller_ticks, 15u);
+  EXPECT_EQ(stats.requests_shed, 0u);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(lowest, config.overload.initial_budget);
 }
 
 TEST(OverloadLive, HeldOrderedRepliesCountTowardBackpressure) {

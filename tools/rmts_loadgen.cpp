@@ -21,7 +21,7 @@
 // mix against it (--churn-rate = depart fraction), tracking live tickets
 // so departures always name a real resident; per-op tables then report
 // session_admit / session_depart.
-// The driver itself lives in src/server/load.hpp and is shared with the
+// The driver itself lives in tools/load/load.hpp and is shared with the
 // bench_e18/bench_e20 benchmarks.  Latency percentiles are interpolated
 // HDR quantiles (relative error <= 3.1%), reported overall and per op
 // class; --json additionally writes the full report as one JSON document.
@@ -33,7 +33,7 @@
 #include <string>
 
 #include "server/json.hpp"
-#include "server/load.hpp"
+#include "load/load.hpp"
 
 namespace {
 
